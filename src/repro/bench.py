@@ -406,7 +406,7 @@ def _serve_degraded(
 
     async def _run() -> tuple[float, int, dict]:
         config = ServeConfig(
-            workers=2, batch_window=0.0, shard_min_points=2, supervised=True
+            workers=2, batch_window=0.0, shard_min_points=2
         )
         async with SimulationServer(config) as server:
             stop = threading.Event()
@@ -662,10 +662,10 @@ def _folded_broadcast_grid(P: int, n_o: int) -> int:
 
 
 def _unfolded_broadcast_pipeline(P: int, pts: list[LogPParams]) -> list:
-    """The per-rank reference pipeline: compile generators, evaluate."""
+    """The per-rank reference pipeline: compile generators, grid-evaluate."""
     from .algorithms.broadcast import binomial_tree
     from .sim.collectives import tree_broadcast
-    from .sim.compiled import compile_programs, evaluate
+    from .sim.compiled import compile_programs, evaluate_grid
 
     kids = binomial_tree(P)
 
@@ -674,11 +674,8 @@ def _unfolded_broadcast_pipeline(P: int, pts: list[LogPParams]) -> list:
             rank, P_, 7 if rank == 0 else None, kids, root=0
         )
 
-    prog = compile_programs(fac, P)
-    return [
-        (r.makespan, r.total_stall_time)
-        for r in (evaluate(prog, p) for p in pts)
-    ]
+    gr = evaluate_grid(compile_programs(fac, P), pts)
+    return list(zip(gr.makespans, gr.total_stall_times))
 
 
 def _folded_broadcast_pipeline(P: int, pts: list[LogPParams]) -> list:

@@ -15,7 +15,7 @@ value, per the serving contract:
   (:func:`repro.serve.server.canonical_latency`), so a seeded-jitter
   sweep and the fixed-``L`` sweep of the same family never collide;
 * ``backend`` — the *resolved* backend (``machine`` / ``compiled``).
-  The two backends are bit-identical by the compiled evaluator's
+  The two backends are bit-identical by the compiled path's
   contract, so sharing entries across them would be sound — but keying
   them separately keeps a (hypothetical) divergence a visible test
   failure instead of a cache-poisoning bug, and costs only capacity.

@@ -7,17 +7,21 @@ time, actions flattened to opcode tuples, message matching resolved
 (:mod:`.compiler`) — and the resulting :class:`CompiledProgram` can
 then be evaluated:
 
-* at one parameter point, bit-identical to the machine, with
-  :func:`evaluate` (:mod:`.evaluator`);
 * across a whole ``(L, o, g)`` grid with :func:`evaluate_grid`
   (:mod:`.grid`), which records one evaluation as a *tape* of float
   operations and branch constraints and replays it vectorized (numpy
   when available) over every grid point whose control flow matches,
-  re-recording for the points where it does not;
+  re-recording for the points where it does not and running the
+  points past the ``max_tapes`` budget on the event machine itself;
+  a one-point grid is the single-point evaluation;
 * across a ``(point, seed)`` product with :func:`evaluate_seed_grid`:
   seeded latency draws become per-column tape inputs, so a 500-seed
   sweep replays as one vectorized evaluation instead of 500 machine
   runs.
+
+LogP's rules are written three times: the event machine, the tape
+recorder, and the folded walker below.  The machine is the reference
+and the fallback; the other two are pinned to it bit for bit.
 
 Eligibility is deterministic timing: any latency model honouring the
 ``reset()`` reproducibility contract (bare or in a ``LatencyFabric``)
@@ -27,9 +31,9 @@ runtime load, which a static schedule cannot represent —
 :func:`backend_ineligibility` explains refusals, and the ``auto``
 backend in :mod:`repro.sim.sweep` / :mod:`repro.bench` raises rather
 than silently falling back.  Programs observing ``Now`` lower per
-parameter point via :func:`compile_at` (fixed-point clock assumption)
-and per grid region via :func:`evaluate_forked` (branch-splitting on
-the recorded ``OP_NOW`` constraints).
+parameter point via :func:`compile_at` (one machine run supplies the
+clock readings) and per grid region via :func:`evaluate_forked`
+(branch-splitting on the recorded ``OP_NOW`` constraints).
 
 On top of the compiled path sits *symmetry folding* (:mod:`.fold`):
 ranks whose opcode schedules are identical up to peer renaming are
@@ -38,9 +42,9 @@ per class (:func:`evaluate_folded`, Θ(classes) instead of Θ(P)), and
 grid tapes weight aggregate terms by class multiplicity
 (:func:`evaluate_folded_grid`).  A binomial broadcast at ``P = 2**20``
 folds to ~6 000 classes; the dyadic-exactness guard keeps every
-aggregate bit-identical to the unfolded evaluator.  Folding is a
-stricter tier than compilation — it needs class-invariant flight and a
-restricted program shape — and refuses loudly with a
+aggregate bit-identical to the unfolded path and the machine.  Folding
+is a stricter tier than compilation — it needs class-invariant flight
+and a restricted program shape — and refuses loudly with a
 :class:`FoldError` naming the first offending rank or op
 (:func:`fold_ineligibility` covers the timing side).
 """
@@ -70,15 +74,11 @@ from .fold import (
     fold_program,
     fold_tree,
 )
-from .evaluator import (
-    CompiledResult,
-    TimingDivergence,
-    compile_at,
-    evaluate,
-)
 from .grid import (
     GridResult,
     SeedGridResult,
+    TimingDivergence,
+    compile_at,
     evaluate_forked,
     evaluate_grid,
     evaluate_seed_grid,
@@ -89,7 +89,6 @@ __all__ = [
     "FOLD_MODES",
     "CompileError",
     "CompiledProgram",
-    "CompiledResult",
     "FoldError",
     "FoldedProgram",
     "FoldedResult",
@@ -102,7 +101,6 @@ __all__ = [
     "compile_at",
     "compile_programs",
     "compile_representatives",
-    "evaluate",
     "evaluate_folded",
     "evaluate_folded_grid",
     "evaluate_forked",

@@ -21,8 +21,8 @@ compiled opcode stream does not contain.  Callers pick a ``backend``:
   the machine.  Auto-selecting the slow path there would make a sweep
   silently 10× slower the day someone swaps in a contended fabric; the
   caller must say ``backend="machine"`` to mean that.  A program that
-  merely cannot be *lowered* (unbounded timing dependence, no
-  fixed-point clock) falls back to the machine — that is a property of
+  merely cannot be *lowered* (its actions depend on more than its
+  clock) falls back to the machine — that is a property of
   the program, not a configuration mistake — and the fallback carries
   the ``CompileError`` reason (see ``sweep.grid_map``'s report).
 

@@ -32,13 +32,13 @@ Restrictions (the price of timing-free lowering):
   Passing ``now_values`` (per-rank FIFO oracles of resume values)
   lowers such a program *at an assumed clock*: each ``Now`` records an
   ``(OP_NOW, value)`` op carrying the oracle value it consumed, and
-  the evaluator checks the assumption at run time.
-  :func:`repro.sim.compiled.compile_at` iterates compile→evaluate to a
-  fixed point so the assumed values are the machine's true ones at one
+  every evaluation checks the assumption at run time.
+  :func:`repro.sim.compiled.compile_at` takes the oracle from one
+  machine run, so the assumed values are the machine's true ones at one
   parameter point; the grid recorder turns each assumption into an
   equality constraint, so other points sharing the schedule replay
   vectorized and divergent points re-record (branch-splitting).
-* ``Poll`` compiles (it is timing-only: the evaluator replays its drain
+* ``Poll`` compiles (it is timing-only: evaluation replays its drain
   semantics), but its compile-time resume value is always ``0`` —
   a program that *branches its action sequence* on the drained count is
   outside the deterministic-schedule contract this subsystem serves.
@@ -104,7 +104,7 @@ class TimingDependentError(CompileError):
 
     Raised by :func:`compile_programs` when no ``now_values`` oracle is
     supplied.  Distinct from a bare :class:`CompileError` so the grid
-    layer can route such programs through the fixed-point
+    layer can route such programs through the
     branch-splitting path (:func:`repro.sim.compiled.compile_at`)
     instead of giving up.
     """
@@ -115,8 +115,11 @@ class CompiledProgram:
     """A LogP program flattened to per-rank opcode sequences.
 
     Parameter-independent: evaluate it at any ``LogPParams`` with
-    ``P == self.P`` (see :func:`repro.sim.compiled.evaluate` and
-    :func:`repro.sim.compiled.evaluate_grid`).
+    ``P == self.P`` — one point or a whole grid — with
+    :func:`repro.sim.compiled.evaluate_grid` (or over a seed axis with
+    :func:`repro.sim.compiled.evaluate_seed_grid`).  The tape recorder
+    evaluates it; points past the tape budget run its op streams on the
+    event machine, which is the reference semantics.
     """
 
     P: int
@@ -130,7 +133,7 @@ class CompiledProgram:
     max_words: int = 1
     uses_barrier: bool = False
     #: True when any rank observed ``Now``: the schedule embeds assumed
-    #: clock readings (``OP_NOW`` ops) that the evaluator must check.
+    #: clock readings (``OP_NOW`` ops) that every evaluation checks.
     uses_now: bool = False
 
     @property
@@ -178,9 +181,7 @@ def compile_programs(
     Args:
         now_values: per-rank FIFO oracles of ``Now`` resume values.
             When given, each ``Now`` consumes the next value for its
-            rank (0.0 once a rank's oracle runs dry — the provisional
-            first pass of :func:`repro.sim.compiled.compile_at`) and
-            records it in an ``(OP_NOW, value)`` op.  Without it, any
+            rank (0.0 once a rank's oracle runs dry) and records it in an ``(OP_NOW, value)`` op.  Without it, any
             ``Now`` raises :class:`TimingDependentError`.
 
     Raises:

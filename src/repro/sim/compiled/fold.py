@@ -624,9 +624,10 @@ def fold_tree(tree, *, root: int = 0, tag: str = "tbcast") -> FoldedProgram:
 class FoldedResult:
     """Per-class results of a folded evaluation.
 
-    Aggregates match :class:`.evaluator.CompiledResult` exactly; the
-    per-rank views are expanded on demand (O(1) per rank) instead of
-    materialized.
+    Aggregates match the machine's ``MachineResult`` exactly; the
+    per-rank views (``finished_at``, ``sends``, ``receives``,
+    ``value``) are expanded on demand (O(1) per rank) instead of
+    materialized, and match the machine's per-rank results.
     """
 
     makespan: float
@@ -793,10 +794,10 @@ def evaluate_folded(
     """Evaluate a folded program at one parameter point, Θ(C).
 
     Aggregates (makespan, message and stall totals) and every
-    expanded per-rank view are exactly what :func:`.evaluator.evaluate`
-    — and therefore the machine — produces for the unfolded program,
-    under the dyadic-exactness guard.  ``max_events`` is accepted for
-    signature parity and ignored: there is no event loop.
+    expanded per-rank view are exactly what the machine produces for
+    the unfolded program, under the dyadic-exactness guard.
+    ``max_events`` is accepted for signature parity and ignored: there
+    is no event loop.
     """
     if params.P != folded.P:
         raise ValueError(

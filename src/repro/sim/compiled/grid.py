@@ -6,15 +6,18 @@ which branch each comparison takes — is piecewise-constant over the
 event sequence with different float values flowing through it.  This
 module exploits that:
 
-1. **Record.**  :class:`_TapeEvaluator` is the scalar evaluator
-   (:mod:`.evaluator`) with every simulated time *boxed* as
-   ``(value, slot)``.  Each float operation the machine semantics
-   perform — one add per ``+``, one max per running-max fold, one
-   sub+add per stall episode — appends one tape instruction, so a
-   replayed slot reproduces the recorded value's IEEE arithmetic
-   bit-for-bit, never an algebraic simplification of it.  Every branch
-   the run takes appends a *constraint*: float comparisons, the
-   engine's past-tolerance clamp, activation-dedup key hits/misses,
+1. **Record.**  :class:`_TapeEvaluator` ports the event machine's
+   handlers one for one over the compiled opcode stream, with every
+   simulated time *boxed* as ``(value, slot)``.  Each float operation
+   the machine semantics perform — one add per ``+``, one max per
+   running-max fold, one sub+add per stall episode — appends one tape
+   instruction, so a replayed slot reproduces the recorded value's IEEE
+   arithmetic bit-for-bit, never an algebraic simplification of it.
+   Every ``engine.schedule`` call in the machine has a ``_sched`` call
+   here, in the same program position, so sequence numbers — and
+   therefore tie-breaks — coincide.  Every branch the run takes
+   appends a *constraint*: float comparisons, the engine's
+   past-tolerance clamp, activation-dedup key hits/misses,
    capacity comparisons against the per-point ``ceil(L/g)`` limit —
    and a *dependency partial order* over executed events.  Requiring
    the replayed point to reproduce the full event interleaving would
@@ -38,13 +41,14 @@ module exploits that:
    loop otherwise) and checks every constraint per point.  A point
    that satisfies all constraints provably executes the recorded
    handler sequence up to commuting interleavings, so its replayed
-   makespan and stall totals are *exactly* what the scalar evaluator —
-   and therefore the machine — would produce there.
+   makespan and stall totals are *exactly* what the machine would
+   produce there.
 3. **Re-reference.**  Points that violate a constraint lie in a
    different control-flow region: the first such point becomes the
    next recording reference, up to ``max_tapes`` regions; stragglers
-   fall back to the scalar evaluator.  The fallback changes cost only,
-   never results.
+   run one at a time on the event machine itself
+   (:func:`_machine_factory` replays the op stream as machine
+   programs).  The fallback changes cost only, never results.
 
 Beyond the fixed-``L`` default, the tape lowers the machine's other
 deterministic timing configurations:
@@ -67,11 +71,11 @@ deterministic timing configurations:
   — same float expression shape as ``TopologyFabric.submit``, bit for
   bit.
 * **Bounded timing dependence** (:func:`evaluate_forked`): a schedule
-  compiled at an assumed clock (:func:`.evaluator.compile_at`) records
+  lowered at one point's clock readings (:func:`compile_at`) records
   each ``OP_NOW`` reading as an equality constraint; points that
   cannot satisfy it are *divergent* — they lie in a different
-  branch-split region and get their own recompile, up to a fork
-  budget, with exact per-point lowering for stragglers.
+  branch-split region and get their own lowering, up to the
+  ``max_tapes`` budget, with stragglers run on the event machine.
 
 ``tests/test_compiled.py`` pins grid output per-point equal to machine
 runs across fuzz-generated programs and parameter grids.
@@ -85,7 +89,9 @@ from typing import Callable, Sequence
 
 from ..engine import SimulationError
 from ..latency import FixedLatency
+from ..machine import LogPMachine
 from ..net import LatencyFabric, TopologyFabric
+from ..program import Barrier, Compute, Now, Poll, Recv, Send, Sleep
 from .compiler import (
     OP_COMPUTE,
     OP_NOW,
@@ -93,33 +99,16 @@ from .compiler import (
     OP_RECV,
     OP_SEND,
     OP_SLEEP,
+    CompileError,
     CompiledProgram,
-)
-from .evaluator import (
-    _COMPACT,
-    _DONE,
-    _EV_ACTIVATION,
-    _EV_ARRIVAL,
-    _EV_BARRIER,
-    _EV_INJECT,
-    _EV_RECV_DONE,
-    _EV_WAKE,
-    _PAST_TOL,
-    _POLLING,
-    _RUNNING,
-    _SLEEPING,
-    _STALL_SEND,
-    _WAIT_BARRIER,
-    _WAIT_GAP,
-    _WAIT_RECV,
-    TimingDivergence,
-    compile_at,
-    evaluate,
+    compile_programs,
 )
 
 __all__ = [
     "GridResult",
     "SeedGridResult",
+    "TimingDivergence",
+    "compile_at",
     "evaluate_forked",
     "evaluate_grid",
     "evaluate_seed_grid",
@@ -129,6 +118,38 @@ try:  # numpy is optional; the pure-python replay is exact, just slower
     import numpy as _np
 except ImportError:  # pragma: no cover - image always has numpy
     _np = None
+
+class TimingDivergence(SimulationError):
+    """An ``OP_NOW`` assumption failed: the schedule was compiled
+    against a clock reading that this evaluation did not reproduce.
+    The compiled ops after that point encode the wrong control flow —
+    refuse rather than return plausible garbage.  The grid layer
+    catches this and reports the point as divergent, for
+    :func:`evaluate_forked` to lower again at its own parameters."""
+
+
+# Processor states (machine.py uses interned strings; ints here).
+_RUNNING = 0
+_STALL_SEND = 1
+_WAIT_RECV = 2
+_WAIT_BARRIER = 3
+_SLEEPING = 4
+_POLLING = 5
+_WAIT_GAP = 6
+_DONE = 7
+
+# Event codes for the inlined queue (machine.py binds methods instead).
+_EV_ACTIVATION = 0
+_EV_INJECT = 1
+_EV_ARRIVAL = 2
+_EV_RECV_DONE = 3
+_EV_WAKE = 4
+_EV_BARRIER = 5
+
+#: Engine.schedule's past-tolerance: see repro.sim.engine.PAST_TOLERANCE.
+_PAST_TOL = 1e-12
+#: Queue compaction threshold, as in Engine.
+_COMPACT = 8192
 
 # Tape instructions: (code, out, ...) producing slot ``out``.
 _I_CONST = 0  # (out, term, k)            v = term
@@ -221,13 +242,15 @@ class _TProc:
 
 
 class _TapeEvaluator:
-    """The scalar evaluator with boxed times recording a :class:`_Tape`.
+    """One machine run over a compiled schedule, recording a :class:`_Tape`.
 
     Every simulated time is a ``(float value, tape slot)`` pair; the
-    float drives this run exactly as in :class:`.evaluator._Evaluator`
+    float drives this run exactly as the event machine's handlers do
     (same branches, same event order), the slot makes the arithmetic
-    replayable.  Port parity with the scalar evaluator is enforced by
-    the per-point grid-vs-machine equality tests.
+    replayable.  What it drops is everything a deterministic run never
+    touches: generator dispatch, trace records, the lossy/ARQ and fault
+    machinery.  Port parity with the machine is enforced by the
+    per-point grid-vs-machine equality tests and fuzz check 5.
     """
 
     def __init__(
@@ -588,7 +611,7 @@ class _TapeEvaluator:
         proc.pending_activations.pop(t[0], None)
         self._activate(proc)
 
-    # -- interpreter loop (ports evaluator._activate) ----------------
+    # -- interpreter loop (ports machine._activate) ------------------
 
     def _activate(self, proc) -> None:
         now = self._now
@@ -1036,13 +1059,21 @@ class _TapeEvaluator:
 
 @dataclass(slots=True)
 class GridResult:
-    """Per-point results of a grid evaluation, in submission order."""
+    """Per-point results of a grid evaluation, in submission order.
+
+    Each point's makespan and stall total are the event machine's
+    exactly, whether the point was replayed from a tape or run on the
+    machine itself; a one-point grid is the compiled path's
+    single-point evaluation.  Per-rank accounting and the stall/wakeup
+    feed are not reported here — a traced machine run has them.
+    """
 
     makespans: list[float]
     total_stall_times: list[float]
     #: Number of control-flow regions recorded (reference runs).
     tapes: int
-    #: Points the tapes did not cover, evaluated scalar (exact, slower).
+    #: Points the tapes did not cover, run one at a time on the event
+    #: machine (exact, slower).
     fallbacks: int
     #: Points whose clock observations contradict every recorded
     #: ``OP_NOW`` assumption — their entries are *unfilled*; the caller
@@ -1067,7 +1098,8 @@ class SeedGridResult:
     n_seeds: int
     #: Number of control-flow regions recorded (reference runs).
     tapes: int
-    #: Columns the tapes did not cover, evaluated scalar (exact, slower).
+    #: Columns the tapes did not cover, run one at a time on the event
+    #: machine (exact, slower).
     fallbacks: int
     #: Columns divergent from every recorded ``OP_NOW`` assumption
     #: (unfilled — see :class:`GridResult`).
@@ -1228,8 +1260,8 @@ def _replay_python(tape: _Tape, pts, caps):
 def _grid_timing(pts, latency, fabric):
     """Resolve the grid's shared timing configuration.
 
-    The vectorized analogue of :func:`.evaluator._resolve_timing`:
-    same mutual-exclusion and bound validation (machine-identical
+    The machine's latency/fabric normalisation, over a whole grid:
+    the same mutual-exclusion and bound validation (machine-identical
     ``ValueError`` messages, checked at *every* grid point), returning
     the recorder ``timing`` spec plus the latency model whose draw
     stream feeds the replay (``None`` off the draw path).
@@ -1322,6 +1354,146 @@ def _raw_point(p):
     )
 
 
+def _op_action(op: tuple):
+    """The program action a compiled op was lowered from."""
+    kind = op[0]
+    if kind == OP_SEND:
+        return Send(op[1], tag=op[3], words=op[2])
+    if kind == OP_RECV:
+        return Recv(op[1])
+    if kind == OP_COMPUTE:
+        return Compute(op[1])
+    if kind == OP_SLEEP:
+        return Sleep(op[1])
+    if kind == OP_POLL:
+        return Poll()
+    if kind == OP_NOW:
+        return Now()
+    return Barrier()
+
+
+def _machine_factory(compiled: CompiledProgram):
+    """``compiled``'s op streams as a machine program factory.
+
+    Each rank yields its ops as actions and returns its compile-time
+    value, so ``LogPMachine(...).run(_machine_factory(compiled))`` is
+    the reference evaluation of the schedule: grid stragglers run
+    through it.  An ``OP_NOW`` whose clock reading differs from the
+    assumed one raises :class:`TimingDivergence`.
+    """
+    scripts = [[(op, _op_action(op)) for op in ops] for ops in compiled.ops]
+    values = compiled.values
+
+    def program(rank: int, P: int):
+        for op, action in scripts[rank]:
+            got = yield action
+            if op[0] == OP_NOW and got != op[1]:
+                raise TimingDivergence(
+                    f"proc {rank} observed Now()={got} but the schedule "
+                    f"was compiled assuming {op[1]}; control flow after "
+                    "this point is not this schedule's — lower it at "
+                    "this parameter point (compile_at) or use the event "
+                    "machine"
+                )
+        return values[rank]
+
+    return program
+
+
+def compile_at(
+    programs,
+    P: int,
+    params,
+    *,
+    latency=None,
+    fabric=None,
+    enforce_capacity: bool = True,
+    capacity: int | None = None,
+    hw_barrier_cost: float = 0.0,
+    compute_jitter: Callable[[int, float], float] | None = None,
+    max_events: int = 50_000_000,
+) -> CompiledProgram:
+    """Lower a timing-dependent program at one parameter point.
+
+    A program that observes ``Now`` cannot compile parameter-free, but
+    it *can* compile against the clock readings of one run.  The event
+    machine runs the real factory once at ``params``, recording every
+    rank's ``Now`` readings; the factory is then compiled once with
+    those readings as the oracle, so its generators see exactly the
+    resume values the machine delivered.
+
+    The lowering is checked before it is returned: the compiled
+    schedule is run on the machine at ``params`` and must reproduce
+    every reading.  A program whose action sequence also depends on
+    something the compiler cannot see (a ``Poll`` count, a receive
+    timestamp) fails that check, and the refusal is a loud
+    :class:`CompileError`, so ``backend="auto"`` falls back to the
+    machine with the reason.  An error of the program itself (a
+    deadlock, an invalid send) is raised by the machine run unchanged.
+
+    ``programs`` must be a *factory* ``(rank, P) -> generator``: it is
+    driven twice, by the machine and by the compiler.
+    """
+    if not callable(programs):
+        raise CompileError(
+            "timing-dependent lowering drives the program twice, which "
+            "requires a program factory (rank, P) -> generator, not "
+            "a sequence of already-built generators"
+        )
+    kw = dict(
+        latency=latency,
+        fabric=fabric,
+        enforce_capacity=enforce_capacity,
+        capacity=capacity,
+        hw_barrier_cost=hw_barrier_cost,
+        compute_jitter=compute_jitter,
+        max_events=max_events,
+    )
+    readings: list[list[float]] = [[] for _ in range(P)]
+
+    def recording(rank: int, P_: int):
+        gen = programs(rank, P_)
+        log = readings[rank]
+        resume = None
+        while True:
+            try:
+                action = gen.send(resume)
+            except StopIteration as stop:
+                return stop.value
+            resume = yield action
+            if type(action) is Now:
+                log.append(resume)
+
+    LogPMachine(params, trace=False, **kw).run(recording)
+    try:
+        compiled = compile_programs(programs, P, now_values=readings)
+    except CompileError:
+        raise
+    except Exception as exc:
+        # The readings are the machine's, but the compiler resumes
+        # other actions with placeholders (Poll counts, NaN receive
+        # timestamps) that can steer a program into errors the machine
+        # run never hit.  That is a lowering failure, not a
+        # configuration error: refuse as CompileError.
+        raise CompileError(
+            "timing-dependent lowering failed while driving generators "
+            f"at the machine's clock readings: {exc}"
+        ) from exc
+    if compiled.uses_now:
+        try:
+            LogPMachine(params, trace=False, **kw).run(
+                _machine_factory(compiled)
+            )
+        except TimingDivergence as exc:
+            raise CompileError(
+                "timing-dependent schedule lowered at the machine's "
+                f"clock readings does not reproduce them at {params!r} "
+                f"({exc}): the program's actions depend on more than "
+                "its clock — run it on the event machine"
+            ) from exc
+    return compiled
+
+
 def evaluate_grid(
     compiled: CompiledProgram,
     grid: Sequence,
@@ -1338,11 +1510,11 @@ def evaluate_grid(
 ) -> GridResult:
     """Evaluate one compiled program at every parameter point in ``grid``.
 
-    Each point's makespan and total stall time are exactly what
-    :func:`.evaluator.evaluate` (and therefore the machine) produces
-    there — vectorization changes cost, never values.  Points are
-    covered by up to ``max_tapes`` recorded control-flow regions;
-    uncovered stragglers run the scalar evaluator.
+    Each point's makespan and total stall time are exactly what the
+    event machine produces there — vectorization changes cost, never
+    values.  Points are covered by up to ``max_tapes`` recorded
+    control-flow regions; uncovered stragglers run on the machine
+    (``GridResult.fallbacks``).
 
     Args:
         compiled: output of :func:`compile_programs`.
@@ -1361,7 +1533,7 @@ def evaluate_grid(
         use_numpy: force (True) or forbid (False) the numpy replay;
             ``None`` uses numpy when importable.
 
-    A ``uses_now`` schedule (compiled by :func:`.evaluator.compile_at`)
+    A ``uses_now`` schedule (lowered by :func:`compile_at`)
     evaluates only at points reproducing its assumed clock readings;
     the rest are returned *unfilled* in ``GridResult.divergent`` for
     the caller to recompile (:func:`evaluate_forked` automates this).
@@ -1448,10 +1620,10 @@ def evaluate_grid(
                     next_remaining.append(i)
             remaining = next_remaining
     fallbacks = 0
+    program = _machine_factory(compiled) if remaining else None
     for i in remaining:
         try:
-            res = evaluate(
-                compiled,
+            res = LogPMachine(
                 pts[i],
                 latency=latency,
                 fabric=fabric,
@@ -1459,8 +1631,9 @@ def evaluate_grid(
                 capacity=capacity,
                 hw_barrier_cost=hw_barrier_cost,
                 compute_jitter=compute_jitter,
+                trace=False,
                 max_events=max_events,
-            )
+            ).run(program)
         except TimingDivergence:
             divergent.append(i)
             continue
@@ -1641,18 +1814,19 @@ def evaluate_seed_grid(
                     else:
                         next_remaining.append(c)
                 remaining = next_remaining
+        program = _machine_factory(compiled) if remaining else None
         for c in remaining:
             try:
-                res = evaluate(
-                    compiled,
+                res = LogPMachine(
                     pts[c // nseeds],
                     latency=models[c],
                     enforce_capacity=enforce_capacity,
                     capacity=capacity,
                     hw_barrier_cost=hw_barrier_cost,
                     compute_jitter=compute_jitter,
+                    trace=False,
                     max_events=max_events,
-                )
+                ).run(program)
             except TimingDivergence:
                 divergent.append(c)
                 continue
@@ -1679,21 +1853,19 @@ def evaluate_forked(
     max_events: int = 50_000_000,
     max_tapes: int = 32,
     use_numpy: bool | None = None,
-    max_forks: int | None = None,
 ) -> GridResult:
     """Branch-splitting grid evaluation of a timing-dependent program.
 
     A program that observes ``Now`` has no parameter-free schedule, but
     its control flow is still piecewise-constant over the grid: lower
-    it at the first uncovered point (:func:`.evaluator.compile_at`),
-    evaluate that schedule across the remaining points — the recorded
-    ``OP_NOW`` equality constraints admit exactly the points sharing
-    its branch decisions — and re-fork on the divergent rest.  Each
-    fork resolves at least its own reference point, so the loop
-    terminates; after ``max_forks`` regions (default: the ``max_tapes``
-    budget) stragglers get an exact per-point recompile.  Results are
-    bit-identical to the machine everywhere, and a program whose clock
-    observations never reach a fixed point refuses loudly with
+    it at the first uncovered point (:func:`compile_at`), evaluate that
+    schedule across the remaining points — the recorded ``OP_NOW``
+    equality constraints admit exactly the points sharing its branch
+    decisions — and re-fork on the divergent rest.  Each fork resolves
+    at least its own reference point, so the loop terminates; after
+    ``max_tapes`` regions the stragglers run on the event machine.
+    Results are bit-identical to the machine everywhere, and a program
+    that cannot be lowered refuses loudly with
     :class:`~repro.sim.compiled.CompileError` (from ``compile_at``).
 
     ``programs`` must be a factory ``(rank, P) -> generator`` — each
@@ -1703,41 +1875,30 @@ def evaluate_forked(
     n = len(pts)
     if n == 0:
         return GridResult([], [], 0, 0)
-    if max_forks is None:
-        max_forks = max_tapes
+    kw = dict(
+        latency=latency,
+        fabric=fabric,
+        enforce_capacity=enforce_capacity,
+        capacity=capacity,
+        hw_barrier_cost=hw_barrier_cost,
+        compute_jitter=compute_jitter,
+        max_events=max_events,
+    )
     makespans = [0.0] * n
     stalls = [0.0] * n
     remaining = list(range(n))
     tapes = 0
     fallbacks = 0
     forks = 0
-    while remaining and forks < max_forks:
-        ref = remaining[0]
-        compiled = compile_at(
-            programs,
-            P,
-            pts[ref],
-            latency=latency,
-            fabric=fabric,
-            enforce_capacity=enforce_capacity,
-            capacity=capacity,
-            hw_barrier_cost=hw_barrier_cost,
-            compute_jitter=compute_jitter,
-            max_events=max_events,
-        )
+    while remaining and forks < max_tapes:
+        compiled = compile_at(programs, P, pts[remaining[0]], **kw)
         forks += 1
         gr = evaluate_grid(
             compiled,
             [pts[i] for i in remaining],
-            latency=latency,
-            fabric=fabric,
-            enforce_capacity=enforce_capacity,
-            capacity=capacity,
-            hw_barrier_cost=hw_barrier_cost,
-            compute_jitter=compute_jitter,
-            max_events=max_events,
             max_tapes=max_tapes,
             use_numpy=use_numpy,
+            **kw,
         )
         tapes += gr.tapes
         fallbacks += gr.fallbacks
@@ -1750,36 +1911,14 @@ def evaluate_forked(
                 makespans[i] = gr.makespans[j]
                 stalls[i] = gr.total_stall_times[j]
         if len(nxt) == len(remaining):  # pragma: no cover - compile_at
-            # converged at ref, so ref always evaluates clean
+            # checked the reference point, so it always evaluates clean
             raise SimulationError(
                 "branch-splitting made no progress over "
                 f"{len(remaining)} points"
             )
         remaining = nxt
     for i in remaining:
-        compiled = compile_at(
-            programs,
-            P,
-            pts[i],
-            latency=latency,
-            fabric=fabric,
-            enforce_capacity=enforce_capacity,
-            capacity=capacity,
-            hw_barrier_cost=hw_barrier_cost,
-            compute_jitter=compute_jitter,
-            max_events=max_events,
-        )
-        res = evaluate(
-            compiled,
-            pts[i],
-            latency=latency,
-            fabric=fabric,
-            enforce_capacity=enforce_capacity,
-            capacity=capacity,
-            hw_barrier_cost=hw_barrier_cost,
-            compute_jitter=compute_jitter,
-            max_events=max_events,
-        )
+        res = LogPMachine(pts[i], trace=False, **kw).run(programs)
         fallbacks += 1
         makespans[i] = res.makespan
         stalls[i] = res.total_stall_time

@@ -24,10 +24,10 @@ cross-checks every run three ways:
    deliver the same messages and values under hop-consistent,
    semantically valid routing; finally — under *every* latency model,
    fixed and seeded-draw alike — the schedule is lowered by
-   :mod:`repro.sim.compiled` and the engine-free compiled evaluator
-   must reproduce the machine *bit-identically* — makespan, event
-   counts, per-rank accounting, return values, and the full
-   capacity-stall feed cross-checked through ``stall_report()``;
+   :mod:`repro.sim.compiled` and the tape path ``grid_map`` runs
+   (:func:`~repro.sim.compiled.evaluate_grid`) must reproduce the
+   machine *bit-identically* — makespan, stall total, message count
+   and per-rank return values;
 3. **analytic cross-check** — for families with a closed form
    (single-pair streams, disjoint pairwise streams) the simulated
    makespan must equal the formulas in :mod:`repro.core.cost` exactly;
@@ -495,7 +495,7 @@ def run_case(
     """Execute one case under one latency model and run every check.
 
     ``compiled_check=False`` skips differential check 5 (the compiled
-    evaluator) and ``chaos_check=False`` skips the fault-injection
+    path) and ``chaos_check=False`` skips the fault-injection
     check 6; used by ``repro.bench`` to keep the ``fuzz_smoke``
     workload's cost comparable across benchmark records predating
     those checks.  Correctness sweeps leave both on.
@@ -603,9 +603,9 @@ def run_case(
     if fixed:
         out.failures.extend(_check_fabrics(case, res, where))
 
-    # 5. Compiled-evaluator differential: the engine-free fast path must
-    # be *bit-identical* to the machine — under the fixed model and the
-    # seeded draw models alike (the evaluator consumes the same reset
+    # 5. Compiled-path differential: the recorded tape must be
+    # *bit-identical* to the machine — under the fixed model and the
+    # seeded draw models alike (the recorder consumes the same reset
     # draw stream at the same injections).
     if compiled_check:
         out.failures.extend(
@@ -737,16 +737,18 @@ def _check_compiled(
     *,
     latency: LatencyModel | None = None,
 ) -> list[str]:
-    """Diff the compiled evaluator against the traced machine run.
+    """Diff the compiled path against the traced machine run.
 
-    Everything is compared with ``==`` — bit-identity, no tolerance:
-    makespan, message/event counts, per-rank accounting, program return
-    values, the raw stall/wakeup event feed, and the condensed
-    ``stall_report()`` the feed folds into.  ``latency`` is a fresh
-    same-seed model when the machine run drew flight times; the
-    evaluator resets it and must consume the identical stream.
+    The path is :func:`~repro.sim.compiled.evaluate_grid` at the case's
+    one point — what ``grid_map`` runs — and it must evaluate that point
+    from a recorded tape, not by falling back to the machine.
+    Everything it reports is compared with ``==`` (bit-identity, no
+    tolerance): makespan, stall total, message count and per-rank
+    program return values.  ``latency`` is a fresh same-seed model when
+    the machine run drew flight times; the recorder resets it and must
+    consume the identical stream.
     """
-    from .compiled import CompileError, compile_programs, evaluate
+    from .compiled import CompileError, compile_programs, evaluate_grid
 
     failures: list[str] = []
     try:
@@ -757,54 +759,39 @@ def _check_compiled(
         failures.append(f"{where}: schedule failed to compile: {exc}")
         return failures
     try:
-        comp = evaluate(
-            prog,
-            case.params,
-            latency=latency,
-            collect_stalls=True,
-            max_events=2_000_000,
+        gr = evaluate_grid(
+            prog, [case.params], latency=latency, max_events=2_000_000
         )
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
         failures.append(f"{where}: compiled evaluation crashed: {exc!r}")
         return failures
-    if comp.makespan != res.makespan:
+    if gr.tapes != 1 or gr.fallbacks:
         failures.append(
-            f"{where}: compiled makespan {comp.makespan} != machine "
+            f"{where}: compiled point was not tape-recorded "
+            f"(tapes={gr.tapes}, fallbacks={gr.fallbacks})"
+        )
+    if gr.makespans[0] != res.makespan:
+        failures.append(
+            f"{where}: compiled makespan {gr.makespans[0]} != machine "
             f"{res.makespan} (must be bit-identical)"
         )
-    if comp.total_messages != res.total_messages:
+    if gr.total_stall_times[0] != res.total_stall_time:
         failures.append(
-            f"{where}: compiled message count {comp.total_messages} != "
-            f"machine {res.total_messages}"
-        )
-    if comp.total_stall_time != res.total_stall_time:
-        failures.append(
-            f"{where}: compiled stall time {comp.total_stall_time} != "
+            f"{where}: compiled stall time {gr.total_stall_times[0]} != "
             f"machine {res.total_stall_time} (must be bit-identical)"
         )
-    if comp.events_run != res.events_run:
+    if prog.n_messages != res.total_messages:
         failures.append(
-            f"{where}: compiled ran {comp.events_run} events, machine "
-            f"ran {res.events_run}"
+            f"{where}: compiled message count {prog.n_messages} != "
+            f"machine {res.total_messages}"
         )
     for rank in range(case.params.P):
-        got, want = comp.values[rank], res.value(rank)
+        got, want = prog.values[rank], res.value(rank)
         if got != want:
             failures.append(
                 f"{where}: compiled P{rank} returned {got!r}, machine "
                 f"returned {want!r}"
             )
-    if comp.stall_events != res.stall_events:
-        failures.append(
-            f"{where}: compiled stall/wakeup feed differs from the "
-            f"machine's ({len(comp.stall_events)} vs "
-            f"{len(res.stall_events)} events)"
-        )
-    if comp.stall_report() != res.stall_report():
-        failures.append(
-            f"{where}: compiled stall_report() differs from the "
-            "machine's"
-        )
     return failures
 
 
@@ -898,8 +885,9 @@ def make_fold_case(seed: int) -> FuzzCase:
 def run_fold_case(case: FuzzCase, latency_name: str = "fixed") -> CaseOutcome:
     """One fold-fuzz case under one latency model: three-way differential.
 
-    The machine is the semantics; the unfolded compiled evaluator must
-    match it bit-identically; the folded path must match *both* —
+    The machine is the semantics; the unfolded compiled path
+    (:func:`~repro.sim.compiled.evaluate_grid`) must match it
+    bit-identically; the folded path must match the machine —
     aggregates and every expanded per-rank view — whenever the timing
     configuration and the schedule fold.  Under the seeded draw models
     folding is ineligible by design (draws are consumed in event order);
@@ -911,8 +899,8 @@ def run_fold_case(case: FuzzCase, latency_name: str = "fixed") -> CaseOutcome:
         CompileError,
         FoldError,
         compile_programs,
-        evaluate,
         evaluate_folded,
+        evaluate_grid,
         fold_program,
         resolve_fold,
     )
@@ -952,19 +940,19 @@ def run_fold_case(case: FuzzCase, latency_name: str = "fixed") -> CaseOutcome:
     eval_latency = None if fixed else make_latency(case.params.L, case.seed)
     try:
         prog = compile_programs(case.factory, case.params.P)
-        comp = evaluate(prog, case.params, latency=eval_latency)
+        comp = evaluate_grid(prog, [case.params], latency=eval_latency)
     except CompileError as exc:
         out.failures.append(f"{where}: schedule failed to compile: {exc}")
         return out
-    if comp.makespan != res.makespan:
+    if comp.makespans[0] != res.makespan:
         out.failures.append(
-            f"{where}: compiled makespan {comp.makespan} != machine "
+            f"{where}: compiled makespan {comp.makespans[0]} != machine "
             f"{res.makespan}"
         )
-    if comp.total_stall_time != res.total_stall_time:
+    if comp.total_stall_times[0] != res.total_stall_time:
         out.failures.append(
-            f"{where}: compiled stall time {comp.total_stall_time} != "
-            f"machine {res.total_stall_time}"
+            f"{where}: compiled stall time {comp.total_stall_times[0]} "
+            f"!= machine {res.total_stall_time}"
         )
 
     mode = resolve_fold("auto", latency=eval_latency)
@@ -981,7 +969,7 @@ def run_fold_case(case: FuzzCase, latency_name: str = "fixed") -> CaseOutcome:
         except FoldError:
             # A per-point refusal (capacity stall at this point) is
             # legitimate — the auto path covers it with the unfolded
-            # evaluator, checked through grid_map below.
+            # tape, checked through grid_map below.
             fr = None
         if fr is not None:
             if fr.makespan != res.makespan:
@@ -1000,11 +988,11 @@ def run_fold_case(case: FuzzCase, latency_name: str = "fixed") -> CaseOutcome:
                     f"!= machine {res.total_messages}"
                 )
             for rank in range(case.params.P):
-                if fr.finished_at(rank) != comp.finished_at[rank]:
+                want = res.results[rank].finished_at
+                if fr.finished_at(rank) != want:
                     out.failures.append(
                         f"{where}: folded P{rank} finished at "
-                        f"{fr.finished_at(rank)}, compiled at "
-                        f"{comp.finished_at[rank]}"
+                        f"{fr.finished_at(rank)}, machine at {want}"
                     )
                     break
             for rank, expect in case.expected_values.items():

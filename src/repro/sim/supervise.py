@@ -1,10 +1,9 @@
 """Supervised process pool: crash-tolerant fan-out for :func:`sweep_map`.
 
-:class:`~repro.sim.sweep.WorkerPool` wraps ``multiprocessing.Pool``,
-whose blocking ``map()`` has no story for a worker that *dies*: a
-SIGKILLed child (the OOM killer at a 2^20-point folded grid, a chaos
-drill, a segfaulting extension) either hangs the call or poisons the
-whole pool.  The simulated machine learned crash-stop/detect/recover
+``multiprocessing.Pool``'s blocking ``map()`` has no story for a worker
+that *dies*: a SIGKILLed child (the OOM killer at a 2^20-point folded
+grid, a chaos drill, a segfaulting extension) either hangs the call or
+poisons the whole pool.  The simulated machine learned crash-stop/detect/recover
 discipline in :mod:`repro.sim.faults`; this module gives the
 *infrastructure that runs the simulations* the same discipline.
 
@@ -45,10 +44,10 @@ results merge in submission order, bit-identical to the serial loop for
 any worker count and any interleaving of worker deaths, because retries
 recompute items from the same pickled inputs and a deterministic ``fn``
 (the repository-wide requirement) produces the same bytes on any
-attempt.  The pool duck-types :class:`~repro.sim.sweep.WorkerPool`
-(``workers`` / ``started`` / ``map`` / ``close``), so
-``sweep_map(..., pool=SupervisedPool(...))`` and the
-:mod:`repro.serve` server drop it in unchanged.
+attempt.  It is the repository's one process pool:
+:func:`~repro.sim.sweep.sweep_map` opens one per parallel call unless
+the caller passes a long-lived one (``sweep_map(..., pool=...)``, as the
+:mod:`repro.serve` server does).
 
 What is *not* retried: an ordinary Python exception raised by ``fn``
 crosses the pipe and fails the call immediately (exceptions are
@@ -212,10 +211,10 @@ class _MapFailed(Exception):
 class SupervisedPool:
     """A self-healing process pool; see the module docstring.
 
-    Drop-in for :class:`~repro.sim.sweep.WorkerPool` wherever one is
-    passed to ``sweep_map(..., pool=...)``.  Not thread-safe: one
-    ``map`` at a time (the serve batcher and the bench loops already
-    serialize their sweeps).
+    Pass one to ``sweep_map(..., pool=...)`` to reuse its workers
+    across sweeps; workers start lazily on the first ``map``.  Not
+    thread-safe: one ``map`` at a time (the serve batcher and the bench
+    loops already serialize their sweeps).
 
     Args:
         workers: slot count; ``None`` resolves via

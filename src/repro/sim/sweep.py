@@ -20,11 +20,12 @@ split into three layers:
    (``machine`` / ``compiled`` / ``auto``) through the compiled schedule
    evaluator (:mod:`repro.sim.compiled`) — compile once per distinct
    ``P``, replay vectorized.
-3. **Pooling** (:class:`WorkerPool`): a persistent process pool with the
-   same dispatch semantics as the ephemeral pool :func:`sweep_map`
-   creates by default.  Long-lived callers (the :mod:`repro.serve`
+3. **Pooling** (:class:`repro.sim.supervise.SupervisedPool`): the one
+   process pool.  :func:`sweep_map` opens one per parallel call and
+   closes it on return; long-lived callers (the :mod:`repro.serve`
    server) hold one open across requests so pool startup is paid once,
-   not per sweep.
+   not per sweep.  Either way a worker that dies is restarted and its
+   chunk retried.
 
 The determinism contract, shared by every layer:
 
@@ -52,12 +53,9 @@ The determinism contract, shared by every layer:
   when several chunks fail — so error reports (the server's included)
   can say *which* grid point or seed died.
 * **No silent shortfall.**  Every submitted index must come back: a
-  pool that returns short (a dead worker's ``Pool.map`` can) raises
-  :class:`SweepShortfallError` naming the missing indices instead of
-  handing back a shortened, misaligned list.  Callers that need the
-  sweep to *survive* worker death rather than merely diagnose it pass
-  a :class:`repro.sim.supervise.SupervisedPool` via ``pool=`` — same
-  contract, plus restart/retry/quarantine.
+  pool that returns short raises :class:`SweepShortfallError` naming
+  the missing indices instead of handing back a shortened, misaligned
+  list.
 
 Worker-count resolution (:func:`resolve_workers`): an explicit argument
 wins and is clamped to at least 1 (callers pass computed counts, e.g.
@@ -76,7 +74,6 @@ than failing mid-pool — the result is identical either way, only slower.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import warnings
@@ -91,7 +88,6 @@ __all__ = [
     "SweepItemError",
     "SweepPlan",
     "SweepShortfallError",
-    "WorkerPool",
     "grid_map",
     "plan_sweep",
     "resolve_workers",
@@ -279,68 +275,6 @@ def _merge_guarded(wrapped: list, n_items: int) -> list:
     return slots
 
 
-class WorkerPool:
-    """A persistent process pool with :func:`sweep_map`'s semantics.
-
-    The ephemeral pool :func:`sweep_map` creates by default pays fork
-    and import startup on every call; a long-lived caller (the
-    :mod:`repro.serve` server, a bench loop) holds a ``WorkerPool`` open
-    and passes it via ``sweep_map(..., pool=...)`` instead.  The pool is
-    created lazily on first use, so constructing one costs nothing until
-    a sweep actually needs processes.  Results are identical either way
-    — the pool only changes where (and how often) processes start.
-    """
-
-    def __init__(self, workers: int | None = None):
-        self.workers = resolve_workers(workers)
-        self._pool = None
-
-    def _ensure(self):
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ctx.Pool(processes=self.workers)
-        return self._pool
-
-    @property
-    def started(self) -> bool:
-        return self._pool is not None
-
-    def map(self, fn, items: list, chunksize: int) -> list:
-        # Pool.map blocks until every chunk finishes and returns results
-        # in submission order regardless of completion order.
-        return self._ensure().map(fn, items, chunksize=chunksize)
-
-    def close(self, drain: bool = True) -> None:
-        """Tear the pool down; ``drain`` picks outstanding work's fate.
-
-        The teardown contract (mirroring the server's
-        ``aclose(drain=...)``): ``drain=True`` (default) closes the
-        inbox and *joins* outstanding chunks so already-dispatched work
-        finishes cleanly — since :meth:`map` is synchronous there is
-        normally nothing in flight, making the drain free; it matters
-        for subclasses or futures-based callers.  ``drain=False``
-        terminates the workers immediately (the old unconditional
-        behaviour), abandoning anything in flight — the right call on
-        an error path where results are already moot.
-        """
-        if self._pool is not None:
-            if drain:
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def sweep_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
@@ -348,7 +282,7 @@ def sweep_map(
     workers: int | None = None,
     chunksize: int | None = None,
     min_chunk: int = 1,
-    pool: WorkerPool | None = None,
+    pool=None,
 ) -> list[_R]:
     """Map ``fn`` over ``items``, optionally across worker processes.
 
@@ -372,12 +306,11 @@ def sweep_map(
             items; a single remaining worker means the serial loop.
             Callers with ~millisecond items (the fuzz sweep) set this
             high enough that pool startup cannot exceed the work shipped.
-        pool: an open :class:`WorkerPool` (or the crash-tolerant
-            :class:`repro.sim.supervise.SupervisedPool` — anything with
-            ``workers`` / ``map(fn, items, chunksize)`` / ``close``) to
-            dispatch through instead of an ephemeral pool (its worker
-            count caps the plan).  The pool is left open for the caller
-            to reuse.
+        pool: an open :class:`repro.sim.supervise.SupervisedPool` (or
+            anything with ``workers`` / ``map(fn, items, chunksize)``)
+            to dispatch through instead of a pool opened for this call
+            (its worker count caps the plan).  The pool is left open
+            for the caller to reuse.
     """
     items = list(items)
     eff_workers = (
@@ -411,14 +344,10 @@ def sweep_map(
     if pool is not None:
         wrapped = pool.map(guarded, indexed, plan.chunksize)
     else:
-        # Prefer fork where available (cheap, inherits the imported repo);
-        # elsewhere the default start method works, just with slower spawns.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        with ctx.Pool(processes=plan.workers) as mp_pool:
-            wrapped = mp_pool.map(guarded, indexed, chunksize=plan.chunksize)
+        from .supervise import SupervisedPool  # supervise imports us
+
+        with SupervisedPool(plan.workers) as call_pool:
+            wrapped = call_pool.map(guarded, indexed, plan.chunksize)
     return _merge_guarded(wrapped, len(items))
 
 

@@ -1,12 +1,13 @@
-"""The compiled DAG evaluator: bit-identity, grids, refusal semantics.
+"""The compiled path: bit-identity, grids, refusal semantics.
 
 The contract under test is the one the fuzz harness enforces at scale
 (``repro.sim.fuzz`` check 5): for any deterministic fixed-latency
-schedule, the compiled evaluator — scalar or vectorized grid replay —
-produces *exactly* what the event machine produces.  Every comparison
+schedule, the compiled path — a recorded tape at one point, vectorized
+replay over a grid, or the event-machine fallback past the tape budget
+— produces *exactly* what the event machine produces.  Every comparison
 here is ``==``; there are no tolerances to hide behind.
 
-Also covered: the machine-kwarg variants the evaluator mirrors
+Also covered: the machine-kwarg variants the tape recorder mirrors
 (capacity override, ``enforce_capacity=False``, ``hw_barrier_cost``,
 ``merge_overhead_into_gap`` parameter sets, LogGP long messages),
 capacity-stall accounting cross-checked through ``stall_report()``,
@@ -32,6 +33,7 @@ from repro.sim import (
     FixedLatency,
     LogPMachine,
     Now,
+    Poll,
     Recv,
     Send,
     UniformLatency,
@@ -41,8 +43,8 @@ from repro.sim.compiled import (
     CompileError,
     TimingDependentError,
     backend_ineligibility,
+    compile_at,
     compile_programs,
-    evaluate,
     evaluate_grid,
     evaluate_seed_grid,
     resolve_backend,
@@ -129,31 +131,39 @@ def _now_prog(rank: int, P: int):
     return run()
 
 
+def _clocked(rank: int, P: int):
+    """Reads a clock that depends on ``o``: the send's overhead."""
+
+    def run():
+        if rank == 0:
+            yield Send(1)
+        else:
+            yield Recv()
+        t = yield Now()
+        yield Compute(t)
+        return t
+
+    return run()
+
+
 # ----------------------------------------------------------------------
-# Scalar differential
+# Single-point differential
 # ----------------------------------------------------------------------
 
 
 def _assert_matches(factory, params, **kw) -> None:
-    """Machine and compiled evaluator agree exactly on every shared field."""
+    """A one-point tape and the machine agree exactly on every shared
+    field."""
     machine = LogPMachine(
         params, latency=FixedLatency(params.L), trace=False, **kw
     ).run(factory)
-    comp = evaluate(
-        compile_programs(factory, params.P),
-        params,
-        collect_stalls=True,
-        **kw,
-    )
-    assert comp.makespan == machine.makespan
-    assert comp.total_messages == machine.total_messages
-    assert comp.total_stall_time == machine.total_stall_time
-    assert comp.events_run == machine.events_run
-    assert tuple(comp.values) == tuple(machine.values())
-    assert comp.finished_at == [r.finished_at for r in machine.results]
-    assert comp.sends == [r.sends for r in machine.results]
-    assert comp.receives == [r.receives for r in machine.results]
-    assert comp.stall_time == [r.stall_time for r in machine.results]
+    prog = compile_programs(factory, params.P)
+    gr = evaluate_grid(prog, [params], **kw)
+    assert (gr.tapes, gr.fallbacks) == (1, 0)  # the tape, not the machine
+    assert gr.makespans == [machine.makespan]
+    assert gr.total_stall_times == [machine.total_stall_time]
+    assert prog.n_messages == machine.total_messages
+    assert tuple(prog.values) == tuple(machine.values())
 
 
 @pytest.mark.parametrize("factory", [_bcast, _flood, _barrier_prog])
@@ -196,22 +206,23 @@ def test_merge_overhead_into_gap_variant():
 def test_loggp_long_messages():
     p = LogGPParams(L=6, o=2, g=4, G=0.5, P=2)
     machine = LogPMachine(p, trace=False).run(_loggp_prog)
-    comp = evaluate(compile_programs(_loggp_prog, 2), p)
-    assert comp.makespan == machine.makespan
-    assert comp.total_messages == machine.total_messages
+    prog = compile_programs(_loggp_prog, 2)
+    gr = evaluate_grid(prog, [p])
+    assert gr.makespans == [machine.makespan]
+    assert prog.n_messages == machine.total_messages
 
 
 def test_stall_report_cross_check():
-    """Capacity-stall timing agrees with MachineResult.stall_report()."""
+    """Capacity-stall totals agree with a traced machine run whose
+    stall_report() shows the stalls resolved."""
     machine = LogPMachine(
         BASE, latency=FixedLatency(BASE.L), trace=True
     ).run(_flood)
-    comp = evaluate(
-        compile_programs(_flood, BASE.P), BASE, collect_stalls=True
-    )
-    assert comp.total_stall_time > 0  # the regime is actually exercised
-    assert comp.stall_events == machine.stall_events
-    assert comp.stall_report() == machine.stall_report()
+    report = machine.stall_report()
+    assert report.stalls > 0 and report.ok  # the regime is exercised
+    gr = evaluate_grid(compile_programs(_flood, BASE.P), [BASE])
+    assert gr.total_stall_times == [machine.total_stall_time]
+    assert gr.total_stall_times[0] > 0
 
 
 def test_compile_error_on_timing_dependence():
@@ -257,20 +268,105 @@ def test_grid_numpy_python_replay_parity():
     assert a.total_stall_times == b.total_stall_times
 
 
-def test_grid_scalar_fallback_is_exact():
-    """With max_tapes=0 every point takes the scalar-replay fallback."""
+def test_grid_machine_fallback_is_exact():
+    """With max_tapes=0 every point (and every seed column) runs on the
+    event machine, bit-identical to direct machine runs."""
     prog = compile_programs(_flood, 8)
-    gr = evaluate_grid(prog, GRID[:6], max_tapes=0)
-    assert gr.tapes == 0 and gr.fallbacks == 6
-    full = evaluate_grid(prog, GRID[:6], max_tapes=64)
-    assert gr.makespans == full.makespans
-    assert gr.total_stall_times == full.total_stall_times
+    pts = GRID[:6]
+    gr = evaluate_grid(prog, pts, max_tapes=0)
+    assert gr.tapes == 0 and gr.fallbacks == len(pts)
+    want = [LogPMachine(p, trace=False).run(_flood) for p in pts]
+    assert gr.makespans == [r.makespan for r in want]
+    assert gr.total_stall_times == [r.total_stall_time for r in want]
+
+    make = LATENCIES["jittered"]
+    seeds = [4, 9]
+    sg = evaluate_seed_grid(
+        prog, pts[:3], seeds, lambda p, s: make(p.L, s), max_tapes=0
+    )
+    assert sg.tapes == 0 and sg.fallbacks == 3 * len(seeds)
+    want = [
+        LogPMachine(p, latency=make(p.L, s), trace=False).run(_flood)
+        for p in pts[:3]
+        for s in seeds
+    ]
+    assert sg.makespans == [r.makespan for r in want]
+    assert sg.total_stall_times == [r.total_stall_time for r in want]
+
+
+def test_machine_fallback_reports_clock_divergence():
+    """A schedule lowered at one point's clock, run on the machine at a
+    point that reads a different clock, is reported divergent (left
+    for re-lowering), not evaluated."""
+    here, there = (
+        LogPParams(L=4, o=1, g=2, P=2),
+        LogPParams(L=4, o=3, g=4, P=2),
+    )
+    prog = compile_at(_clocked, 2, here)
+    assert prog.uses_now
+    gr = evaluate_grid(prog, [here, there], max_tapes=0)
+    assert (gr.fallbacks, gr.divergent) == (1, [1])
+    ref = LogPMachine(here, trace=False).run(_clocked)
+    assert gr.makespans[0] == ref.makespan
 
 
 def test_grid_rejects_mismatched_p():
     prog = compile_programs(_bcast, 4)
     with pytest.raises(ValueError, match="group grid points by P"):
         evaluate_grid(prog, [BASE])
+
+
+@pytest.mark.parametrize("max_tapes", [0, 32])
+def test_grid_input_refusals(max_tapes):
+    """Every input the grid refuses is refused up front with the
+    machine's message, whether its points would be taped or run on the
+    machine (max_tapes=0)."""
+    from repro.sim import SimulationError
+    from repro.sim.net import FaultyFabric
+
+    prog = compile_programs(_bcast, 8)
+    fixed = FixedLatency(6.0)
+    refused = [
+        (dict(latency=fixed, fabric=LatencyFabric(fixed)), "not both"),
+        (
+            dict(fabric=FaultyFabric(TopologyFabric.ring(8, L=6), drop=0.1)),
+            "does not support lossy fabrics",
+        ),
+        (dict(latency=FixedLatency(9.0)), "latency model bound 9.0 exceeds"),
+        (dict(fabric=TopologyFabric.ring(8, L=9)), "fabric unloaded bound"),
+        (dict(hw_barrier_cost=-1.0), "hw_barrier_cost must be >= 0"),
+        (dict(capacity=0), "capacity must be >= 1"),
+    ]
+    for kw, match in refused:
+        with pytest.raises(ValueError, match=match):
+            evaluate_grid(prog, [BASE], max_tapes=max_tapes, **kw)
+    with pytest.raises(ValueError, match="group grid points by P"):
+        evaluate_grid(
+            compile_programs(_bcast, 4), [BASE], max_tapes=max_tapes
+        )
+    with pytest.raises(SimulationError, match="requires LogGP"):
+        evaluate_grid(
+            compile_programs(_loggp_prog, 2),
+            [LogPParams(L=6, o=2, g=4, P=2)],
+            max_tapes=max_tapes,
+        )
+
+    make = LATENCIES["uniform"]
+    refused = [
+        (dict(), 3.0, "latency model bound 9.0 exceeds"),
+        (dict(hw_barrier_cost=-1.0), 0.0, "hw_barrier_cost must be >= 0"),
+        (dict(capacity=0), 0.0, "capacity must be >= 1"),
+    ]
+    for kw, extra_L, match in refused:
+        with pytest.raises(ValueError, match=match):
+            evaluate_seed_grid(
+                prog,
+                [BASE],
+                [1],
+                lambda p, s: make(p.L + extra_L, s),
+                max_tapes=max_tapes,
+                **kw,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -418,10 +514,14 @@ def test_grid_map_now_program_branch_splits_on_both_backends():
     grid = [
         LogPParams(L=4, o=1, g=2, P=2),
         LogPParams(L=9, o=1, g=2, P=2),
+        LogPParams(L=9, o=3, g=4, P=2),
     ]
-    machine = grid_map(_now_prog, grid, backend="machine")
-    assert grid_map(_now_prog, grid, backend="auto") == machine
-    assert grid_map(_now_prog, grid, backend="compiled") == machine
+    for prog in (_now_prog, _fragile_now):
+        machine = grid_map(prog, grid, backend="machine")
+        report = GridMapReport()
+        assert grid_map(prog, grid, backend="auto", report=report) == machine
+        assert report.groups[0].path == "compiled-forked"
+        assert grid_map(prog, grid, backend="compiled") == machine
 
 
 # ----------------------------------------------------------------------
@@ -565,17 +665,15 @@ def test_topology_fabric_grid_parity(fabric, factory):
 
 
 def test_topology_fabric_scalar_evaluate_parity():
-    """The scalar evaluator path with a fabric: same flights, same
-    makespan, message counts intact."""
+    """A one-point tape with a fabric: same flights, same makespan,
+    message counts intact."""
     fabric = TopologyFabric.ring(8, L=6)
     machine = LogPMachine(BASE, fabric=fabric, trace=False).run(_bcast)
-    comp = evaluate(
-        compile_programs(_bcast, 8), BASE, fabric=fabric,
-        collect_stalls=True,
-    )
-    assert comp.makespan == machine.makespan
-    assert comp.total_stall_time == machine.total_stall_time
-    assert comp.total_messages == machine.total_messages
+    prog = compile_programs(_bcast, 8)
+    gr = evaluate_grid(prog, [BASE], fabric=fabric)
+    assert gr.makespans == [machine.makespan]
+    assert gr.total_stall_times == [machine.total_stall_time]
+    assert prog.n_messages == machine.total_messages
 
 
 # ----------------------------------------------------------------------
@@ -584,13 +682,35 @@ def test_topology_fabric_scalar_evaluate_parity():
 
 
 def _fragile_now(rank: int, P: int):
-    """Lowers only at the true clock: the provisional pass (assumed
-    t=0) drives ``Compute`` negative, so branch-splitting refuses."""
+    """Lowers only at the true clock: a clock assumed at t=0 would drive
+    ``Compute`` negative.  compile_at takes its clock from a machine
+    run, so this lowers."""
 
     def run():
         yield Compute(2.0)
         t = yield Now()
         yield Compute(t - 1.0)
+        return t
+
+    return run()
+
+
+def _poll_branch(rank: int, P: int):
+    """Cannot lower: rank 0 branches on a ``Poll`` count, which the
+    compiler always resumes with 0, so the schedule lowered at the
+    machine's clock readings takes the other branch and reads a later
+    clock."""
+
+    def run():
+        if rank == 1:
+            yield Send(0)
+            return None
+        yield Compute(20.0)  # rank 1's message has landed by now
+        drained = yield Poll()
+        if not drained:
+            yield Compute(5.0)
+        t = yield Now()
+        yield Recv()
         return t
 
     return run()
@@ -602,14 +722,14 @@ def test_forked_fallback_refusal_semantics():
     the same error instead of silently running the slow path."""
     pts = [LogPParams(L=4, o=1, g=2, P=2)]
     report = GridMapReport()
-    auto = grid_map(_fragile_now, pts, backend="auto", report=report)
-    assert auto == grid_map(_fragile_now, pts, backend="machine")
+    auto = grid_map(_poll_branch, pts, backend="auto", report=report)
+    assert auto == grid_map(_poll_branch, pts, backend="machine")
     [group] = report.groups
     assert group.path == "machine"
-    assert "assumed clock" in group.reason
+    assert "does not reproduce" in group.reason
     assert report.degraded == [group]
-    with pytest.raises(CompileError, match="assumed clock"):
-        grid_map(_fragile_now, pts, backend="compiled")
+    with pytest.raises(CompileError, match="does not reproduce"):
+        grid_map(_poll_branch, pts, backend="compiled")
 
 
 def test_grid_map_report_names_dispatch_paths():

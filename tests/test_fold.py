@@ -2,7 +2,7 @@
 
 The contract under test: for eligible broadcast-tree schedules, the
 folded evaluator (:mod:`repro.sim.compiled.fold`) produces *exactly* —
-``==``, no tolerances — what the unfolded compiled evaluator and the
+``==``, no tolerances — what the unfolded compiled path and the
 event machine produce, while doing Θ(classes) work instead of Θ(P).
 Covered here:
 
@@ -10,9 +10,9 @@ Covered here:
   stay Θ(P); binomial collapses to the ``(popcount, high bit, bit-sum)``
   lattice; the one-message stream folds to 2; floods and reductions
   refuse loudly);
-* bit-identity of every aggregate and every expanded per-rank view
-  against the unfolded evaluator and the machine, scalar and grid,
-  numpy and pure-python replay;
+* bit-identity of every aggregate against the unfolded compiled path
+  and the machine, one point and grid, numpy and pure-python replay,
+  and of every expanded per-rank view against the machine;
 * the class-compact constructors (``binomial_tree_folded``,
   ``optimal_broadcast_tree_folded``) against the generic fold of their
   own expansions, plus the machine differential at sub-sampled large P;
@@ -50,7 +50,6 @@ from repro.sim.compiled import (
     TimingDependentError,
     compile_programs,
     compile_representatives,
-    evaluate,
     evaluate_folded,
     evaluate_folded_grid,
     evaluate_grid,
@@ -174,17 +173,20 @@ class TestBitIdentity:
                     "binomial": lambda: binomial_tree(P),
                     "optimal": lambda: optimal_broadcast_tree(p).children,
                 }[family]()
-                prog = compile_programs(_tree_factory(children), P)
-                ref = evaluate(prog, p)
+                fac = _tree_factory(children)
+                prog = compile_programs(fac, P)
+                ref = evaluate_grid(prog, [p])
                 fr = evaluate_folded(fold_program(prog), p)
-                assert fr.makespan == ref.makespan
-                assert fr.total_stall_time == ref.total_stall_time
-                assert fr.total_messages == sum(ref.sends)
-                for r in range(P):
-                    assert fr.finished_at(r) == ref.finished_at[r]
-                    assert fr.sends(r) == ref.sends[r]
-                    assert fr.receives(r) == ref.receives[r]
-                    assert fr.value(r) == ref.values[r]
+                assert fr.makespan == ref.makespans[0]
+                assert fr.total_stall_time == ref.total_stall_times[0]
+                assert fr.total_messages == prog.n_messages
+                # Per-rank views against the machine, the reference.
+                machine = LogPMachine(p, trace=False).run(fac)
+                for r, res in enumerate(machine.results):
+                    assert fr.finished_at(r) == res.finished_at
+                    assert fr.sends(r) == res.sends
+                    assert fr.receives(r) == res.receives
+                    assert fr.value(r) == prog.values[r] == res.value
 
     def test_folded_matches_machine(self):
         for P in (4, 16):
@@ -217,10 +219,10 @@ class TestBitIdentity:
         P = 16
         p = LogPParams(L=12.0, o=0.5, g=0.5, P=P)
         prog = compile_programs(_tree_factory(flat_tree(P)), P)
-        ref = evaluate(prog, p)
+        ref = evaluate_grid(prog, [p])
         fr = evaluate_folded(fold_program(prog), p)
-        assert fr.makespan == ref.makespan
-        assert fr.total_stall_time == ref.total_stall_time
+        assert [fr.makespan] == ref.makespans
+        assert [fr.total_stall_time] == ref.total_stall_times
 
 
 class TestFoldedGrid:

@@ -16,11 +16,11 @@ import pytest
 
 from repro.sim import FixedLatency, LogPMachine, stall_report
 from repro.sim.fuzz import make_case
+from repro.sim.supervise import SupervisedPool
 from repro.sim.sweep import (
     ENV_WORKERS,
     SweepItemError,
     SweepShortfallError,
-    WorkerPool,
     _merge_guarded,
     plan_sweep,
     resolve_workers,
@@ -322,14 +322,10 @@ class TestMinChunk:
     """
 
     def test_small_sweep_degrades_to_serial(self, monkeypatch):
-        import repro.sim.sweep as sweep_mod
-
         def boom(*a, **kw):  # any pool construction is a failure
             raise AssertionError("pool used for an under-min_chunk sweep")
 
-        monkeypatch.setattr(
-            sweep_mod.multiprocessing, "get_context", boom
-        )
+        monkeypatch.setattr(SupervisedPool, "__init__", boom)
         out = sweep_map(_square, range(60), workers=2, min_chunk=48)
         assert out == [x * x for x in range(60)]
 
@@ -353,13 +349,12 @@ class TestMinChunk:
     def test_fuzz_sweep_small_default_is_serial(self, monkeypatch):
         """fuzz_sweep's MIN_SEEDS_PER_WORKER keeps bench-sized (60-seed)
         sweeps off the pool at any worker count."""
-        import repro.sim.sweep as sweep_mod
         from repro.sim.fuzz import fuzz_sweep
 
         def boom(*a, **kw):
             raise AssertionError("pool used for a bench-sized fuzz sweep")
 
-        monkeypatch.setattr(sweep_mod.multiprocessing, "get_context", boom)
+        monkeypatch.setattr(SupervisedPool, "__init__", boom)
         summary = fuzz_sweep(range(60), ("fixed",), workers=2)
         assert summary.ok and summary.cases == 60
 
@@ -465,10 +460,11 @@ class TestPlanSweep:
 
 
 class TestWorkerPool:
-    """The persistent pool: lazy start, reuse, identical results."""
+    """The persistent pool (``SupervisedPool``) under ``sweep_map``:
+    lazy start, reuse, identical results, indexed failures, teardown."""
 
     def test_lazy_until_first_parallel_sweep(self):
-        with WorkerPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             assert not pool.started
             out = sweep_map(_square, [3], workers=2, pool=pool)
             assert out == [9]
@@ -476,14 +472,25 @@ class TestWorkerPool:
 
     def test_reused_across_sweeps_with_serial_results(self):
         serial = [x * x for x in range(20)]
-        with WorkerPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             first = sweep_map(_square, range(20), pool=pool)
             assert pool.started
+            pids = pool.pids()
             second = sweep_map(_square, range(20), pool=pool)
             assert first == serial and second == serial
+            assert pool.pids() == pids  # same workers, no restart
+
+    def test_call_scoped_pool_is_closed(self):
+        # Without pool=, sweep_map opens a pool for the call and closes
+        # it on return: no worker outlives the sweep.
+        import multiprocessing
+
+        out = sweep_map(_square, range(20), workers=2)
+        assert out == [x * x for x in range(20)]
+        assert multiprocessing.active_children() == []
 
     def test_pool_failure_still_carries_index(self):
-        with WorkerPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             with pytest.raises(ZeroDivisionError) as excinfo:
                 sweep_map(
                     _reciprocal, [2, 1, 0], pool=pool, chunksize=1
@@ -491,24 +498,29 @@ class TestWorkerPool:
             assert excinfo.value.__cause__.index == 2
 
     def test_close_is_idempotent(self):
-        pool = WorkerPool(workers=2)
+        pool = SupervisedPool(workers=2)
         pool.close()
         pool.close()
 
     def test_close_drain_joins_after_inflight_work(self):
         # drain=True is the graceful teardown contract: in-flight chunks
         # finish, workers join — no unconditional terminate mid-chunk.
-        pool = WorkerPool(workers=2)
+        pool = SupervisedPool(workers=2)
         out = sweep_map(_square, range(20), pool=pool)
         pool.close(drain=True)
         assert out == [x * x for x in range(20)]
+        assert not pool.started
         pool.close(drain=False)  # still idempotent after a drain
 
     def test_close_without_drain_terminates(self):
-        pool = WorkerPool(workers=2)
+        pool = SupervisedPool(workers=2)
         sweep_map(_square, range(20), pool=pool)
+        pids = pool.pids()
         pool.close(drain=False)
-        assert pool._pool is None
+        assert not pool.started
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestGridMapUnfilled:
