@@ -63,8 +63,8 @@ pytest-benchmark suite:
   records ``serve_requests_per_s`` and ``serve_cache_hit_rate`` as
   first-class serving baselines.
 * ``serve_degraded`` — serving throughput *under fire*: machine-backend
-  sweeps sharded across a :class:`~repro.sim.supervise.SupervisedPool`
-  while a killer thread SIGKILLs one pool worker per period.  Every
+  sweeps sharded across a :class:`~repro.sim.supervise.SupervisedPool`,
+  one pool worker SIGKILLed per request at a seeded delay.  Every
   result is checked bit-identical to the serial ``grid_map`` before the
   timing counts (a parity failure raises), and the report records
   ``serve_degraded_requests_per_s`` plus the observed worker-death
@@ -389,8 +389,11 @@ def _serve_degraded_requests(
 def _serve_degraded(
     requests: list, expected: list, *, kill_period: float
 ) -> tuple[float, int, dict]:
-    """Serve ``requests`` on a supervised 2-worker server while a killer
-    thread SIGKILLs one random pool worker every ``kill_period`` seconds.
+    """Serve ``requests`` on a supervised 2-worker server, SIGKILLing one
+    random pool worker per request at a seeded delay in
+    ``[0, kill_period)`` after its submit (skipped if the request is
+    done first).  Sweep items belong to one request, so no item can
+    meet the pool's ``max_attempts`` kills.
 
     Returns ``(elapsed_s, worker_deaths, stats)``.  Raises if any served
     pair deviates from the precomputed serial ground truth — degraded
@@ -400,43 +403,40 @@ def _serve_degraded(
     import os as _os
     import random as _random
     import signal as _signal
-    import threading
 
     from .serve import ServeConfig, SimulationServer
+
+    rng = _random.Random(0xDE6)
+    delays = [rng.uniform(0.0, kill_period) for _ in requests]
 
     async def _run() -> tuple[float, int, dict]:
         config = ServeConfig(
             workers=2, batch_window=0.0, shard_min_points=2
         )
         async with SimulationServer(config) as server:
-            stop = threading.Event()
-            rng = _random.Random(0xDE6)
+            loop = asyncio.get_running_loop()
 
-            def killer() -> None:
-                while not stop.wait(kill_period):
-                    pool = server._pool
-                    pids = pool.pids() if hasattr(pool, "pids") else []
-                    if pids:
-                        try:
-                            _os.kill(rng.choice(pids), _signal.SIGKILL)
-                        except ProcessLookupError:
-                            pass
+            def kill_one() -> None:
+                pids = server._pool.pids()
+                if pids:
+                    try:
+                        _os.kill(rng.choice(pids), _signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
 
-            thread = threading.Thread(target=killer, daemon=True)
             t0 = time.perf_counter()
-            thread.start()
-            try:
-                for i, (request, want) in enumerate(zip(requests, expected)):
-                    job = await server.submit(request)
+            for i, (request, want) in enumerate(zip(requests, expected)):
+                job = await server.submit(request)
+                kill = loop.call_later(delays[i], kill_one)
+                try:
                     got = await job.wait()
-                    if list(got) != list(want):
-                        raise RuntimeError(
-                            f"serve_degraded parity failure on request {i}: "
-                            "supervised result deviates from serial grid_map"
-                        )
-            finally:
-                stop.set()
-                thread.join()
+                finally:
+                    kill.cancel()
+                if list(got) != list(want):
+                    raise RuntimeError(
+                        f"serve_degraded parity failure on request {i}: "
+                        "supervised result deviates from serial grid_map"
+                    )
             elapsed = time.perf_counter() - t0
             deaths = getattr(server._pool, "deaths", 0)
             return elapsed, deaths, server.stats_snapshot()
@@ -645,8 +645,9 @@ def _folded_broadcast_grid(P: int, n_o: int) -> int:
 
     The whole pipeline is Θ(classes): the class-compact constructor
     never materializes per-rank children lists, ``fold_tree`` converts
-    classes directly, and the folded grid tapes weight aggregates by
-    class multiplicity.  Returns the class count for the report.
+    classes directly, and the folded grid walks the classes once with
+    every grid point held in one numpy array.  Returns the class count
+    for the report.
     """
     from .algorithms.broadcast import binomial_tree_folded
     from .sim.compiled import evaluate_folded_grid, fold_tree

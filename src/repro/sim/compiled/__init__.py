@@ -39,8 +39,8 @@ On top of the compiled path sits *symmetry folding* (:mod:`.fold`):
 ranks whose opcode schedules are identical up to peer renaming are
 collapsed into equivalence classes, one representative is evaluated
 per class (:func:`evaluate_folded`, Θ(classes) instead of Θ(P)), and
-grid tapes weight aggregate terms by class multiplicity
-(:func:`evaluate_folded_grid`).  A binomial broadcast at ``P = 2**20``
+the same class walk runs once on numpy arrays holding every point of a
+grid (:func:`evaluate_folded_grid`).  A binomial broadcast at ``P = 2**20``
 folds to ~6 000 classes; the dyadic-exactness guard keeps every
 aggregate bit-identical to the unfolded path and the machine.  Folding
 is a stricter tier than compilation — it needs class-invariant flight

@@ -46,6 +46,9 @@ Restrictions (the price of timing-free lowering):
   and tag, but ``sent_at``/``received_at`` are NaN — timestamps do not
   exist at compile time.  Programs that fold payloads commutatively
   (every collective in this repo) are unaffected.
+* ``Recv(timeout=...)`` is rejected with :class:`CompileError`: whether
+  the wait expires depends on simulated time, so the action sequence
+  after it is timing-dependent.
 """
 
 from __future__ import annotations
@@ -154,6 +157,15 @@ class _RankState:
     at_barrier: bool = False
     done: bool = False
     value: Any = None
+
+
+def _refuse_timeout(rank: int, action: Recv) -> None:
+    if action.timeout is not None:
+        raise CompileError(
+            f"proc {rank} used Recv(timeout={action.timeout}): whether "
+            "the wait times out depends on simulated time, so the "
+            "schedule is timing-dependent — run it on the event machine"
+        )
 
 
 def _take(mailbox: list, tag) -> "tuple | None":
@@ -277,6 +289,7 @@ def compile_programs(
                     max_words = action.words
                 progressed = True
             elif cls is Recv:
+                _refuse_timeout(rank, action)
                 st.waiting_recv = action
             elif cls is Compute:
                 st.ops.append((OP_COMPUTE, float(action.cycles)))
@@ -430,6 +443,7 @@ def compile_representatives(
                     )
                 ops.append((OP_SEND, dst, action.words, action.tag))
             elif cls is Recv:
+                _refuse_timeout(rank, action)
                 ops.append((OP_RECV, action.tag))
                 resume = ReceivedMessage(
                     src=-1,

@@ -54,34 +54,47 @@ within a class:
   guard: all inputs must be multiples of ``1/64`` with magnitude
   ≤ 2^20, so every realized sum stays exactly representable and
   float addition is associative across the fold;
-* a capacity stall (or an unresolvable arrival/inject tie) at the
-  reference point — stalls serialize through the wait-graph queue,
-  which is rank-ordered and therefore not class-invariant.
+* a capacity stall at the evaluated point — stalls serialize through
+  the wait-graph queue, which is rank-ordered and therefore not
+  class-invariant (per point: the grid reports it as divergent).
+
+Evaluation: one walk, two arithmetic domains
+--------------------------------------------
+:func:`_walk` states the timeline rule once — receive ``o`` after the
+arrival, then send one ``si`` apart, each message arriving ``flight``
+after its inject ends — using only ``+``, comparisons and a ``vmax``
+function.  :func:`evaluate_folded` runs it on plain floats;
+:func:`evaluate_folded_grid` runs it once on numpy arrays holding every
+grid point (``vmax = np.maximum``), which is IEEE-identical per point.
+The symbolic :func:`_walk_forms` that builds class keys stays separate:
+it computes over a basis index, not times.
 
 Capacity soundness under multiplicities
 ---------------------------------------
 With one incoming message per rank the destination-side in-flight
 window never exceeds 1 ≤ capacity, so only the *source-side* window
-counts.  The count at inject m is ``#{j < m : arrive_j > inject_m}``
-— in-flight slots release at the ``_EV_ARRIVAL`` pop, and an arrival
-tying an inject at the same timestamp pops first iff ``flight >= o``:
-they are scheduled ``start_m - end_j = flight - o`` apart, and in the
-triple tie ``flight == o`` the arrival's seq is still lower because
-the inject pop that schedules it precedes every event able to commit
-send m at that timestamp (recv sits at op 0; later computes/sleeps
-process at or after the prior send's end).  Arrivals are monotone
-along a send chain, so the in-flight set is a suffix pinned by two
-boundary constraints per inject (plus one deduplicated ``_C_CAP`` row
-per distinct count).  Overcounting at a replayed point is harmless —
-counts feed only the stall check, and ``_C_CAP`` guarantees slack —
-so the in-flight boundary is ``<=``; the released boundary is ``<=``
-under a one-time ``o <= flight`` tape guard when the reference
-releases ties, strict otherwise, and points that fail either simply
-diverge and re-record.  When no stall
-occurs the counts never feed a value, so the folded chains — pure
-max/add expressions — are point-universally exact.  ``words == 1``
-tree traffic provably never stalls: count ≤ ⌈L/si⌉ − 1 < capacity
-since ``si ≥ g``.
+counts.  The count at inject m (ending at ``end_m``) is the number of
+earlier sends ``j < m`` whose arrival ``a_j`` has not popped yet.  An
+arrival strictly before ``end_m`` has popped.  An arrival tying
+``end_m`` pops first iff ``flight >= o``: the two events are scheduled
+``start_m - end_j = flight - o`` apart, and in the triple tie
+``flight == o`` the arrival's seq is still lower because the inject
+pop that schedules it precedes every event able to commit send m at
+that timestamp (recv sits at op 0; later computes/sleeps process at or
+after the prior send's end).  So ``a_j`` is in flight iff
+``a_j > end_m``, or ``a_j == end_m`` and ``flight < o``.
+
+Arrivals never decrease along a send chain, so the in-flight set is a
+suffix of the earlier sends, and "count ≥ cap" holds exactly when
+arrival ``m - cap`` is in flight — an O(1) test per send and distinct
+capacity.  A point where it holds would stall, and stall queues are
+rank-ordered, not class-invariant: :func:`evaluate_folded` raises
+:class:`FoldError`, and :func:`evaluate_folded_grid` masks the point
+into ``GridResult.divergent``.  Where no point stalls the counts never
+feed a value, so the folded chains — pure max/add expressions — are
+exact.  At the default capacity ``⌈L/g⌉`` and ``flight <= L``, tree
+traffic provably never stalls: count ≤ ⌈L/si⌉ − 1 < ⌈L/g⌉ since
+``si ≥ g``.
 
 ``tests/test_fold.py`` pins class counts per family, bit-identity
 folded ≡ unfolded ≡ machine at small P, and the huge-P scaling.
@@ -89,10 +102,11 @@ folded ≡ unfolded ≡ machine at small P, and the huge-P scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
-from ..latency import FixedLatency
+import numpy as np
+
 from .compiler import (
     OP_BARRIER,
     OP_COMPUTE,
@@ -103,27 +117,7 @@ from .compiler import (
     OP_SLEEP,
     CompiledProgram,
 )
-from .grid import (
-    _C_CAP,
-    _C_LE,
-    _C_LT,
-    _I_ADD,
-    _I_CONST,
-    _I_MAX,
-    _I_WADD,
-    _T_L,
-    _T_LIT,
-    _T_O,
-    _T_SI,
-    GridResult,
-    _Tape,
-    _grid_timing,
-    _np,
-    _raw_point,
-    _replay_numpy,
-    _replay_python,
-    _resolve_use_numpy,
-)
+from .grid import GridResult, _grid_timing
 
 __all__ = [
     "FoldError",
@@ -198,9 +192,9 @@ def _dominates(b: tuple, a: tuple) -> bool:
 class _Forms:
     """Interned max-of-affine-forms time expressions.
 
-    A form id is a key only — recording emits the representative's
-    full float chain, never a simplified form — so interning affects
-    *which ranks merge*, not what is computed.
+    A form id is a key only — the timed walk runs the
+    representative's full float chain, never a simplified form — so
+    interning affects *which ranks merge*, not what is computed.
     """
 
     __slots__ = ("_ids", "nodes")
@@ -617,7 +611,7 @@ def fold_tree(tree, *, root: int = 0, tag: str = "tbcast") -> FoldedProgram:
     return folded
 
 
-# -- scalar folded evaluation ----------------------------------------
+# -- folded evaluation: one walk, two arithmetic domains ------------
 
 
 @dataclass(slots=True)
@@ -662,147 +656,31 @@ class FoldedResult:
         return [cf[folded.class_index(r)] for r in range(n)]
 
 
-def _resolve_flight(params, L, latency, fabric):
-    """Fixed per-message flight time, or a :class:`FoldError`."""
-    given = sum(x is not None for x in (L, latency, fabric))
-    if given > 1:
-        raise ValueError(
-            "give at most one of L=, latency=, fabric="
-        )
-    if fabric is not None:
-        lossy = getattr(fabric, "lossy", False)
-        if lossy:
-            raise FoldError(
-                "lossy fabrics retry on timeout — use the event "
-                "machine"
-            )
-        model = getattr(fabric, "model", None)
-        if model is None:
-            raise FoldError(
-                "topology fabrics route per (src, dst) pair — flight "
-                "is not class-invariant"
-            )
-        latency = model
-    if latency is not None:
-        if type(latency) is not FixedLatency:
-            raise FoldError(
-                "seeded latency models draw per message in event "
-                "order — draws are not class-invariant"
-            )
-        flight = float(latency.L)
-        if flight > params.L + 1e-12:
-            raise ValueError(
-                f"latency model bound {flight} exceeds L={params.L}"
-            )
-        return flight
-    if L is not None:
-        flight = float(L)
-        if flight > params.L + 1e-12:
-            raise ValueError(
-                f"fixed latency L={flight} exceeds params.L={params.L}"
-            )
-        return flight
-    return float(params.L)
-
-
-def _scalar_walk(
-    cls: RankClass,
-    arrival: float | None,
-    o: float,
-    si: float,
-    flight: float,
-    cap: int,
-    enforce: bool,
-):
-    """One class's schedule at fixed parameters.
-
-    Returns ``(finished_at, last_activity, send_arrivals)``.  Raises
-    :class:`FoldError` on a capacity stall or an arrival/inject tie
-    whose event order would depend on scheduler seq numbers.
-    """
-    skel = cls.skeleton
-    has_recv = bool(skel) and skel[0][0] == OP_RECV
-    if has_recv:
-        now = arrival + o
-        la = now
-    else:
-        now = 0.0
-        la = 0.0
-    last_send = None
-    end = None
-    arrs: list = []
-    released = 0
-    last_kind = skel[0][0] if skel else None
-    for op in skel[1 if has_recv else 0 :]:
-        k = op[0]
-        last_kind = k
-        if k == OP_COMPUTE:
-            now = now + op[1]
-            la = now
-        elif k == OP_SLEEP:
-            now = now + op[1]
-        else:  # OP_SEND
-            if last_send is None:
-                start = now
-            else:
-                gap = last_send + si
-                start = now if now >= gap else gap
-            end = start + o
-            if enforce:
-                m = len(arrs)
-                while released < m and arrs[released] < end:
-                    released += 1
-                eff = released
-                if eff < m and arrs[eff] == end and flight >= o:
-                    # An arrival tying an inject pops first: it was
-                    # scheduled no later (start_m - end_j = flight - o),
-                    # and at flight == o strictly earlier in seq order
-                    # (the inject_j pop precedes every event that can
-                    # commit send m at that timestamp).
-                    while eff < m and arrs[eff] == end:
-                        eff += 1
-                    released = eff
-                if m - eff >= cap:
-                    raise FoldError(
-                        f"capacity stall at reference point: class "
-                        f"{cls.index} (rep rank {cls.rep}) has "
-                        f"{m - eff} messages in flight at send {m} "
-                        f"with capacity {cap} — stall queues are "
-                        "rank-ordered, not class-invariant"
-                    )
-            arrs.append(end + flight)
-            last_send = start
-            now = end
-            la = end
-    fin = end if last_kind == OP_SEND else now
-    return fin, la, arrs
-
-
-def evaluate_folded(
+def _check(
     folded: FoldedProgram,
-    params,
-    *,
-    L: float | None = None,
-    latency=None,
-    fabric=None,
-    enforce_capacity: bool = True,
-    capacity: int | None = None,
-    hw_barrier_cost: float = 0.0,
-    compute_jitter=None,
-    max_events: int = 0,
-) -> FoldedResult:
-    """Evaluate a folded program at one parameter point, Θ(C).
+    pts: list,
+    latency,
+    fabric,
+    capacity: int | None,
+    hw_barrier_cost: float,
+    compute_jitter,
+):
+    """The refusals shared by both entry points.
 
-    Aggregates (makespan, message and stall totals) and every
-    expanded per-rank view are exactly what the machine produces for
-    the unfolded program, under the dyadic-exactness guard.
-    ``max_events`` is accepted for signature parity and ignored: there
-    is no event loop.
+    Returns ``(flight, caps)``: the fixed latency model's flight time,
+    or ``None`` when every point flies at its own ``L``; and each
+    point's effective capacity.
     """
-    if params.P != folded.P:
-        raise ValueError(
-            f"params P={params.P} does not match folded P={folded.P}"
-        )
+    for p in pts:
+        if p.P != folded.P:
+            raise ValueError(
+                f"point P={p.P} does not match folded P={folded.P}; "
+                "group grid points by P"
+            )
+    caps = [(p.capacity if capacity is None else capacity) for p in pts]
+    for c in caps:
+        if c < 1:
+            raise ValueError(f"capacity must be >= 1, got {c}")
     if hw_barrier_cost < 0:
         raise ValueError(
             f"hw_barrier_cost must be >= 0, got {hw_barrier_cost}"
@@ -812,266 +690,167 @@ def evaluate_folded(
             "compute_jitter is rank-indexed — per-rank cycles are "
             "not class-invariant"
         )
-    flight = _resolve_flight(params, L, latency, fabric)
-    o = float(params.o)
-    si = float(params.send_interval)
-    _check_point_dyadic(float(params.L), o, float(params.g), si)
-    if not _dyadic(flight):
+    timing, model = _grid_timing(pts, latency, fabric)
+    if model is not None or timing[0] not in ("params", "const"):
+        raise FoldError(
+            "seeded latency models draw per message in event order — "
+            "draws are not class-invariant"
+            if timing[0] == "draw"
+            else "topology fabrics route per (src, dst) pair — "
+            "flight is not class-invariant"
+        )
+    for p in pts:
+        _check_point_dyadic(
+            float(p.L), float(p.o), float(p.g), float(p.send_interval)
+        )
+    flight = timing[1] if timing[0] == "const" else None
+    if flight is not None and not _dyadic(flight):
         raise FoldError(
             f"non-dyadic flight time {flight} — see the "
             "dyadic-exactness guard"
         )
     _literals_dyadic(folded.classes)
-    cap = params.capacity if capacity is None else capacity
-    if cap < 1:
-        raise ValueError(f"capacity must be >= 1, got {cap}")
+    return flight, caps
+
+
+def _walk(classes, o, si, flight, checks, vmax):
+    """The timeline rule of every class, in topological class order.
+
+    A class receives (``o`` after its arrival), then computes, sleeps
+    and sends, each inject starting no earlier than ``si`` after the
+    previous one and arriving ``flight`` after it ends.  The code uses
+    ``+``, comparisons and ``vmax`` only, so it runs unchanged on
+    plain floats (``vmax=max``) and on numpy arrays holding every grid
+    point at once (``vmax=np.maximum``) — IEEE-identical per point.
+
+    ``checks`` holds one ``(cap, mask)`` pair per distinct capacity
+    (empty when capacity is not enforced; ``mask`` is ``None`` when
+    every point has that capacity).  Arrivals along a send chain never
+    decrease, so at send ``m`` the in-flight count reaches ``cap``
+    exactly when arrival ``m - cap`` is still in flight: later than
+    the inject's end, or tying it where ``flight < o`` (see the module
+    docstring).
+
+    Yields ``(finished_at, last_activity, n_sends, stalled)`` per
+    class; ``stalled`` is truthy where that class stalls on capacity.
+    """
+    ties_held = flight < o
+    if not np.any(ties_held):
+        ties_held = None
+    arrive_of: list = []
+    for cls in classes:
+        if cls.parent >= 0:
+            now = arrive_of[cls.parent][cls.parent_send] + o
+            ops = cls.skeleton[1:]
+        else:
+            now = 0.0
+            ops = cls.skeleton
+        la = now
+        last_send = None
+        arrs: list = []
+        stalled = False
+        for op in ops:
+            k = op[0]
+            if k == OP_SEND:
+                if last_send is not None:
+                    now = vmax(now, last_send + si)
+                start = now
+                now = start + o
+                m = len(arrs)
+                for cap, mask in checks:
+                    if m >= cap:
+                        a = arrs[m - cap]
+                        hit = a > now
+                        if ties_held is not None:
+                            hit = hit | ((a == now) & ties_held)
+                        if mask is not None:
+                            hit = hit & mask
+                        stalled = stalled | hit
+                arrs.append(now + flight)
+                last_send = start
+                la = now
+            else:
+                now = now + op[1]
+                if k == OP_COMPUTE:
+                    la = now
+        arrive_of.append(arrs)
+        yield now, la, len(arrs), stalled
+
+
+def _evaluate_point(folded, p, flight, cap, enforce_capacity):
+    """The float walk at one checked point; :class:`FoldError` on a stall."""
     classes = folded.classes
-    n = len(classes)
-    arrive_of: list = [None] * n
-    fins = [0.0] * n
-    pms = [0.0] * n
-    sends = [0] * n
-    recvs = [0] * n
+    o = float(p.o)
+    checks = ((cap, None),) if enforce_capacity else ()
+    walk = _walk(
+        classes,
+        o,
+        float(p.send_interval),
+        float(p.L) if flight is None else flight,
+        checks,
+        max,
+    )
+    fins: list = []
+    pms: list = []
+    sends: list = []
     makespan = 0.0
     total_messages = 0
-    for i, cls in enumerate(classes):
-        if cls.parent >= 0:
-            arrival = arrive_of[cls.parent][cls.parent_send]
-            recvs[i] = 1
-        else:
-            arrival = None
-        fin, la, arrs = _scalar_walk(
-            cls, arrival, o, si, flight, cap, enforce_capacity
-        )
-        arrive_of[i] = arrs
-        fins[i] = fin
-        pms[i] = fin if fin >= la else la
-        sends[i] = len(arrs)
-        total_messages += cls.size * len(arrs)
-        if pms[i] > makespan:
-            makespan = pms[i]
+    for cls, (fin, la, n_sends, stalled) in zip(classes, walk):
+        if stalled:
+            raise FoldError(
+                f"capacity stall at this point: class {cls.index} "
+                f"(rep rank {cls.rep}) reaches its capacity of {cap} "
+                "messages in flight — stall queues are rank-ordered, "
+                "not class-invariant"
+            )
+        pm = fin if la is fin else max(fin, la)
+        fins.append(fin)
+        pms.append(pm)
+        sends.append(n_sends)
+        total_messages += cls.size * n_sends
+        if pm > makespan:
+            makespan = pm
     return FoldedResult(
         makespan=makespan,
         total_messages=total_messages,
         total_stall_time=0.0,
         P=folded.P,
-        n_classes=n,
+        n_classes=len(classes),
         class_makespans=pms,
         class_finished_at=fins,
         class_sends=sends,
-        class_receives=recvs,
+        class_receives=[int(c.parent >= 0) for c in classes],
         class_sizes=[c.size for c in classes],
         folded=folded,
     )
 
 
-# -- tape-recorded folded evaluation (the grid path) -----------------
+def evaluate_folded(
+    folded: FoldedProgram,
+    params,
+    *,
+    latency=None,
+    fabric=None,
+    enforce_capacity: bool = True,
+    capacity: int | None = None,
+    hw_barrier_cost: float = 0.0,
+    compute_jitter=None,
+) -> FoldedResult:
+    """Evaluate a folded program at one parameter point, Θ(C).
 
-
-class _FoldRecorder:
-    """Record one folded evaluation as a :class:`.grid._Tape`.
-
-    Every class time is a boxed ``(value, slot)``; the chain is pure
-    max/add (point-universally exact — a max instruction equals the
-    realized branch in both cases), so the only constraints are the
-    capacity-window boundaries and the deduplicated ``_C_CAP``
-    rows.  Replays through the unmodified :func:`.grid._replay_numpy`
-    / :func:`.grid._replay_python`.
+    Aggregates (makespan, message and stall totals) and every
+    expanded per-rank view are exactly what the machine produces for
+    the unfolded program, under the dyadic-exactness guard.  A
+    capacity stall at this point raises :class:`FoldError` naming the
+    class and its representative rank.
     """
-
-    def __init__(
-        self,
-        folded: FoldedProgram,
-        params,
-        *,
-        enforce_capacity: bool,
-        capacity: int,
-        timing: tuple,
-    ):
-        self._folded = folded
-        self._o = float(params.o)
-        self._si = float(params.send_interval)
-        self._enforce = enforce_capacity
-        self._cap = capacity
-        if timing[0] == "params":
-            self._flight = (_T_L, 0.0, float(params.L))
-        elif timing[0] == "const":
-            self._flight = (_T_LIT, timing[1], timing[1])
-        else:
-            raise FoldError(
-                "seeded latency models draw per message in event "
-                "order — draws are not class-invariant"
-                if timing[0] in ("draw", "const_axis")
-                else "topology fabrics route per (src, dst) pair — "
-                "flight is not class-invariant"
-            )
-        self.tape = _Tape()
-        self._lits: dict = {}
-        self._zero = self._const(0.0)
-        self._cap_counts: set = set()
-        self._tie_guarded = False
-
-    # tape primitives (the _TapeEvaluator idiom, constraint-light)
-
-    def _slot(self) -> int:
-        s = self.tape.n_slots
-        self.tape.n_slots = s + 1
-        return s
-
-    def _const(self, v: float):
-        box = self._lits.get(v)
-        if box is None:
-            s = self._slot()
-            self.tape.code.append((_I_CONST, s, _T_LIT, v))
-            box = (v, s)
-            self._lits[v] = box
-        return box
-
-    def _add(self, box, term: int, k: float, value: float):
-        s = self._slot()
-        self.tape.code.append((_I_ADD, s, box[1], term, k))
-        return (value, s)
-
-    def _max(self, a, b):
-        if a[1] == b[1]:
-            return a
-        s = self._slot()
-        self.tape.code.append((_I_MAX, s, a[1], b[1]))
-        return (a[0] if a[0] >= b[0] else b[0], s)
-
-    def _wadd(self, a, b, w: float):
-        s = self._slot()
-        self.tape.code.append((_I_WADD, s, a[1], b[1], w))
-        return (a[0] + w * b[0], s)
-
-    def run(self) -> dict:
-        folded = self._folded
-        o = self._o
-        si = self._si
-        ft, fk, fv = self._flight
-        classes = folded.classes
-        arrive_of: list = [None] * len(classes)
-        mk = None
-        total_messages = 0
-        for i, cls in enumerate(classes):
-            skel = cls.skeleton
-            has_recv = bool(skel) and skel[0][0] == OP_RECV
-            if has_recv:
-                arrival = arrive_of[cls.parent][cls.parent_send]
-                now = self._add(arrival, _T_O, 0.0, arrival[0] + o)
-                la = now
-            else:
-                now = self._zero
-                la = self._zero
-            last_send = None
-            end = None
-            arrs: list = []
-            released = 0
-            last_kind = skel[0][0] if skel else None
-            for op in skel[1 if has_recv else 0 :]:
-                k = op[0]
-                last_kind = k
-                if k == OP_COMPUTE or k == OP_SLEEP:
-                    now = self._add(
-                        now, _T_LIT, float(op[1]), now[0] + op[1]
-                    )
-                    if k == OP_COMPUTE:
-                        la = now
-                    continue
-                # OP_SEND
-                if last_send is None:
-                    start = now
-                else:
-                    gap = self._add(
-                        last_send, _T_SI, 0.0, last_send[0] + si
-                    )
-                    start = self._max(now, gap)
-                end = self._add(start, _T_O, 0.0, start[0] + o)
-                if self._enforce:
-                    released = self._capacity_window(
-                        cls, arrs, end, released
-                    )
-                arrs.append(self._add(end, ft, fk, end[0] + fv))
-                last_send = start
-                now = end
-                la = end
-            arrive_of[i] = arrs
-            fin = end if last_kind == OP_SEND else now
-            pm = self._max(fin, la)
-            total_messages += cls.size * len(arrs)
-            mk = pm if mk is None else self._max(mk, pm)
-        if mk is None:
-            mk = self._zero
-        # Aggregate stall: zero per class, folded with multiplicity so
-        # the weighted-counter shape (and _I_WADD) is exercised and a
-        # future stall-bearing class folds the same way.
-        st = self._zero
-        for cls in classes:
-            st = self._wadd(st, self._zero, float(cls.size))
-        self.tape.makespan_slot = mk[1]
-        self.tape.stall_slot = st[1]
-        return {
-            "makespan": mk[0],
-            "total_stall_time": st[0],
-            "total_messages": total_messages,
-        }
-
-    def _capacity_window(self, cls, arrs, inject, released: int) -> int:
-        """Source-side in-flight accounting at one inject.
-
-        Classification at the reference point: release-at-arrival,
-        ties released iff ``flight >= o`` (see the module docstring).
-        For replay, *overcounting* is safe — counts never feed a
-        value, only the stall check — so the in-flight boundary is
-        ``<=`` (a replayed tie there at ``flight >= o`` is truly
-        released but merely overcounted).  The released boundary is
-        ``<=`` only under a one-time ``o <= flight`` tape guard
-        (which makes tie release valid at every covered point), else
-        strict; ``flight < o`` points under a releasing reference
-        simply diverge and re-record.
-        """
-        m = len(arrs)
-        while released < m and arrs[released][0] < inject[0]:
-            released += 1
-        eff = released
-        releases_ties = self._flight[2] >= self._o
-        if eff < m and arrs[eff][0] == inject[0] and releases_ties:
-            while eff < m and arrs[eff][0] == inject[0]:
-                eff += 1
-            released = eff
-        count = m - eff
-        if count >= self._cap:
-            raise FoldError(
-                f"capacity stall at reference point: class "
-                f"{cls.index} (rep rank {cls.rep}) has {count} "
-                f"messages in flight at send {m} with capacity "
-                f"{self._cap} — stall queues are rank-ordered, not "
-                "class-invariant"
-            )
-        cons = self.tape.cons
-        if eff > 0:
-            if releases_ties:
-                if not self._tie_guarded:
-                    self._tie_guarded = True
-                    o_slot = self._slot()
-                    self.tape.code.append(
-                        (_I_CONST, o_slot, _T_O, 0.0)
-                    )
-                    f_slot = self._slot()
-                    self.tape.code.append(
-                        (_I_CONST, f_slot, self._flight[0],
-                         self._flight[1])
-                    )
-                    cons.append((_C_LE, o_slot, f_slot))
-                cons.append((_C_LE, arrs[eff - 1][1], inject[1]))
-            else:
-                cons.append((_C_LT, arrs[eff - 1][1], inject[1]))
-        if eff < m:
-            cons.append((_C_LE, inject[1], arrs[eff][1]))
-        if count not in self._cap_counts:
-            self._cap_counts.add(count)
-            cons.append((_C_CAP, count, False))
-        return released
+    flight, caps = _check(
+        folded, [params], latency, fabric, capacity, hw_barrier_cost,
+        compute_jitter,
+    )
+    return _evaluate_point(
+        folded, params, flight, caps[0], enforce_capacity
+    )
 
 
 def evaluate_folded_grid(
@@ -1084,156 +863,71 @@ def evaluate_folded_grid(
     capacity: int | None = None,
     hw_barrier_cost: float = 0.0,
     compute_jitter=None,
-    max_events: int = 0,
-    max_tapes: int = 32,
-    use_numpy: bool | None = None,
 ) -> GridResult:
     """Evaluate a folded program at every point of an ``(L, o, g)`` grid.
 
-    The folded counterpart of :func:`.grid.evaluate_grid`: record one
-    Θ(C) tape per control-flow region, replay it vectorized over the
-    remaining points, scalar-fold stragglers.  Values are exactly the
-    unfolded compiled path's (and the machine's) under the
-    dyadic-exactness guard.
+    The folded counterpart of :func:`.grid.evaluate_grid`: one walk
+    over the classes with every time held as a numpy array over the
+    grid's points, Θ(C) array operations in all.  A one-point grid
+    runs the float walk instead, which is cheaper than array setup.
+    Values are exactly the unfolded compiled path's (and the
+    machine's) under the dyadic-exactness guard.
 
     Points that cannot be folded at their own parameters — a capacity
-    stall at a recording reference — are returned *unfilled* in
-    ``GridResult.divergent`` for the caller to evaluate unfolded, the
-    same contract as ``uses_now`` divergence in the unfolded grid.
-    Whole-grid ineligibility (draw timing, topology fabric, jitter,
-    non-dyadic points) raises :class:`FoldError` instead.
+    stall — are returned *unfilled* in ``GridResult.divergent`` for
+    the caller to evaluate unfolded, the same contract as ``uses_now``
+    divergence in the unfolded grid.  Whole-grid ineligibility (draw
+    timing, topology fabric, jitter, non-dyadic points) raises
+    :class:`FoldError` instead.
     """
     pts = list(grid)
-    if not pts:
-        return GridResult([], [], 0, 0, folded=True, classes=folded.n_classes)
-    if hw_barrier_cost < 0:
-        raise ValueError(
-            f"hw_barrier_cost must be >= 0, got {hw_barrier_cost}"
-        )
-    if max_tapes < 0:
-        raise ValueError(f"max_tapes must be >= 0, got {max_tapes}")
-    if compute_jitter is not None:
-        raise FoldError(
-            "compute_jitter is rank-indexed — per-rank cycles are "
-            "not class-invariant"
-        )
-    for p in pts:
-        if p.P != folded.P:
-            raise ValueError(
-                f"grid point P={p.P} does not match folded "
-                f"P={folded.P}; group grid points by P"
-            )
-    caps = [
-        (p.capacity if capacity is None else capacity) for p in pts
-    ]
-    for c in caps:
-        if c < 1:
-            raise ValueError(f"capacity must be >= 1, got {c}")
-    timing, model = _grid_timing(pts, latency, fabric)
-    if model is not None or timing[0] not in ("params", "const"):
-        raise FoldError(
-            "seeded latency models draw per message in event order — "
-            "draws are not class-invariant"
-            if timing[0] in ("draw", "const_axis")
-            else "topology fabrics route per (src, dst) pair — "
-            "flight is not class-invariant"
-        )
-    for p in pts:
-        _check_point_dyadic(
-            float(p.L), float(p.o), float(p.g), float(p.send_interval)
-        )
-    if timing[0] == "const" and not _dyadic(timing[1]):
-        raise FoldError(
-            f"non-dyadic flight time {timing[1]} — see the "
-            "dyadic-exactness guard"
-        )
-    _literals_dyadic(folded.classes)
-    use_numpy = _resolve_use_numpy(use_numpy)
     n = len(pts)
-    raw = [_raw_point(p) for p in pts]
-    makespans = [0.0] * n
-    stalls = [0.0] * n
-    remaining = list(range(n))
-    tapes = 0
-    divergent: list = []
-    while remaining and tapes < max_tapes:
-        ref = remaining[0]
-        rec = _FoldRecorder(
-            folded,
-            pts[ref],
-            enforce_capacity=enforce_capacity,
-            capacity=caps[ref],
-            timing=timing,
-        )
+    if not n:
+        return GridResult([], [], 0, 0, folded=True, classes=folded.n_classes)
+    flight, caps = _check(
+        folded, pts, latency, fabric, capacity, hw_barrier_cost,
+        compute_jitter,
+    )
+    if n == 1:
         try:
-            out = rec.run()
+            res = _evaluate_point(
+                folded, pts[0], flight, caps[0], enforce_capacity
+            )
+            makespans, divergent = [res.makespan], []
         except FoldError:
-            divergent.append(ref)
-            remaining = remaining[1:]
-            continue
-        tapes += 1
-        makespans[ref] = out["makespan"]
-        stalls[ref] = out["total_stall_time"]
-        rest = remaining[1:]
-        if not rest:
-            remaining = []
-            break
-        if use_numpy:
-            np = _np
-            arrs = tuple(
-                np.asarray([raw[i][k] for i in rest], dtype=float)
-                for k in range(5)
-            ) + (None,)
-            cap_arr = np.asarray(
-                [caps[i] for i in rest], dtype=np.int64
+            makespans, divergent = [0.0], [0]
+    else:
+        checks: tuple = ()
+        if enforce_capacity:
+            distinct = sorted(set(caps))
+            cap_arr = np.array(caps)
+            checks = tuple(
+                (c, None if len(distinct) == 1 else cap_arr == c)
+                for c in distinct
             )
-            ok, mk, st = _replay_numpy(rec.tape, arrs, cap_arr)
-            next_remaining = []
-            for j, i in enumerate(rest):
-                if ok[j]:
-                    makespans[i] = float(mk[j])
-                    stalls[i] = float(st[j])
-                else:
-                    next_remaining.append(i)
-            remaining = next_remaining
-        else:
-            ok, mk, st = _replay_python(
-                rec.tape,
-                [(*raw[i], None) for i in rest],
-                [caps[i] for i in rest],
+        makespan = 0.0
+        bad = False
+        for fin, la, _n, stalled in _walk(
+            folded.classes,
+            np.array([float(p.o) for p in pts]),
+            np.array([float(p.send_interval) for p in pts]),
+            np.array([float(p.L) for p in pts]) if flight is None else flight,
+            checks,
+            np.maximum,
+        ):
+            makespan = np.maximum(
+                makespan, fin if la is fin else np.maximum(fin, la)
             )
-            next_remaining = []
-            for j, i in enumerate(rest):
-                if ok[j]:
-                    makespans[i] = mk[j]
-                    stalls[i] = st[j]
-                else:
-                    next_remaining.append(i)
-            remaining = next_remaining
-    fallbacks = 0
-    for i in remaining:
-        try:
-            res = evaluate_folded(
-                folded,
-                pts[i],
-                latency=latency,
-                fabric=fabric,
-                enforce_capacity=enforce_capacity,
-                capacity=capacity,
-                hw_barrier_cost=hw_barrier_cost,
-            )
-        except FoldError:
-            divergent.append(i)
-            continue
-        fallbacks += 1
-        makespans[i] = res.makespan
-        stalls[i] = res.total_stall_time
-    divergent.sort()
+            if stalled is not False:
+                bad = bad | stalled
+        bad = np.broadcast_to(bad, (n,))
+        makespans = np.where(bad, 0.0, makespan).tolist()
+        divergent = np.flatnonzero(bad).tolist()
     return GridResult(
         makespans,
-        stalls,
-        tapes,
-        fallbacks,
+        [0.0] * n,
+        0,
+        0,
         divergent,
         folded=True,
         classes=folded.n_classes,

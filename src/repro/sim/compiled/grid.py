@@ -157,7 +157,6 @@ _I_ADD = 1    # (out, a, term, k)         v = slots[a] + term
 _I_ADDS = 2   # (out, a, b)               v = slots[a] + slots[b]
 _I_MAX = 3    # (out, a, b)               v = max(slots[a], slots[b])
 _I_STALL = 4  # (out, acc, now, start)    v = slots[acc] + (slots[now]-slots[start])
-_I_WADD = 5   # (out, a, b, w)            v = slots[a] + w * slots[b]
 
 # Parameter terms a tape instruction may reference.
 _T_LIT = 0    # literal float k
@@ -1070,20 +1069,22 @@ class GridResult:
 
     makespans: list[float]
     total_stall_times: list[float]
-    #: Number of control-flow regions recorded (reference runs).
+    #: Number of control-flow regions recorded (reference runs); 0 on
+    #: the folded path, which records no tapes.
     tapes: int
     #: Points the tapes did not cover, run one at a time on the event
-    #: machine (exact, slower).
+    #: machine (exact, slower); 0 on the folded path.
     fallbacks: int
     #: Points whose clock observations contradict every recorded
     #: ``OP_NOW`` assumption — their entries are *unfilled*; the caller
     #: recompiles them at their own parameters (:func:`evaluate_forked`).
     divergent: list[int] = field(default_factory=list)
     #: True when produced by the symmetry-folded path (:mod:`.fold`):
-    #: per-class evaluation, ``classes`` equivalence classes standing
-    #: in for P ranks.  Unfilled ``divergent`` entries there are
-    #: points the fold refuses at their own parameters (e.g. a
-    #: capacity stall) — the caller evaluates them unfolded.
+    #: one class walk over every point at once, ``classes``
+    #: equivalence classes standing in for P ranks.  Unfilled
+    #: ``divergent`` entries there are points the fold refuses at
+    #: their own parameters (a capacity stall) — the caller evaluates
+    #: them unfolded.
     folded: bool = False
     classes: int = 0
 
@@ -1152,9 +1153,6 @@ def _replay_numpy(tape: _Tape, arrs, caps):
             S[ins[1]] = _term_values(ins[2], ins[3], arrs)
         elif op == _I_ADDS:
             np.add(S[ins[2]], S[ins[3]], out=S[ins[1]])
-        elif op == _I_WADD:
-            np.multiply(S[ins[3]], ins[4], out=S[ins[1]])
-            np.add(S[ins[2]], S[ins[1]], out=S[ins[1]])
         else:  # _I_STALL
             np.subtract(S[ins[3]], S[ins[4]], out=S[ins[1]])
             np.add(S[ins[2]], S[ins[1]], out=S[ins[1]])
@@ -1225,8 +1223,6 @@ def _replay_python(tape: _Tape, pts, caps):
                 slots[ins[1]] = _term_values(ins[2], ins[3], arrs)
             elif op == _I_ADDS:
                 slots[ins[1]] = slots[ins[2]] + slots[ins[3]]
-            elif op == _I_WADD:
-                slots[ins[1]] = slots[ins[2]] + ins[4] * slots[ins[3]]
             else:
                 slots[ins[1]] = slots[ins[2]] + (
                     slots[ins[3]] - slots[ins[4]]

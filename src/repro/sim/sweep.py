@@ -377,7 +377,7 @@ class GridGroupReport:
     """How one ``P`` group of a :func:`grid_map` call was evaluated.
 
     ``path`` is ``"compiled"`` (one straight-line tape set),
-    ``"compiled-folded"`` (rank equivalence classes, Θ(classes) tapes),
+    ``"compiled-folded"`` (one walk over rank equivalence classes),
     ``"compiled-forked"`` (branch-split regions for a ``Now``-observing
     program), or ``"machine"`` (the group degraded to the event
     machine).  ``reason`` mirrors :class:`SweepPlan.reason`: for a
@@ -580,13 +580,16 @@ def grid_map(
         by_p.setdefault(p.P, []).append(i)
     for P, indices in by_p.items():
         group_pts = [pts[i] for i in indices]
-        common = dict(
+        config = dict(
             latency=latency,
             fabric=fabric,
             enforce_capacity=enforce_capacity,
             capacity=capacity,
             hw_barrier_cost=hw_barrier_cost,
             compute_jitter=compute_jitter,
+        )
+        common = dict(
+            config,
             max_events=max_events,
             max_tapes=max_tapes,
             use_numpy=use_numpy,
@@ -642,14 +645,14 @@ def grid_map(
                         )
                     else:
                         gr = evaluate_folded_grid(
-                            folded_prog, group_pts, **common
+                            folded_prog, group_pts, **config
                         )
                         fold_reason = ""
                         div = gr.divergent
                         if div:
                             # Per-point fold refusals (capacity stalls
-                            # at a recording reference): fill from the
-                            # unfolded evaluator — bit-identical values,
+                            # at the point's own parameters): fill from
+                            # the unfolded evaluator — bit-identical values,
                             # just the Θ(P) cost for those points.
                             sub = evaluate_grid(
                                 prog,

@@ -45,6 +45,7 @@ from repro.sim.compiled import (
     backend_ineligibility,
     compile_at,
     compile_programs,
+    compile_representatives,
     evaluate_grid,
     evaluate_seed_grid,
     resolve_backend,
@@ -730,6 +731,38 @@ def test_forked_fallback_refusal_semantics():
     assert report.degraded == [group]
     with pytest.raises(CompileError, match="does not reproduce"):
         grid_map(_poll_branch, pts, backend="compiled")
+
+
+def _recv_timeout(rank, P):
+    """Rank 0 waits 5 cycles, gives up, computes, then receives."""
+    if rank == 0:
+        msg = yield Recv(timeout=5)
+        if msg is None:
+            yield Compute(100)
+            yield Recv()
+    else:
+        yield Compute(50)
+        yield Send(0)
+
+
+def test_recv_timeout_refuses_to_compile():
+    """Whether a ``Recv(timeout=...)`` expires depends on simulated
+    time, so both lowerings refuse it: ``auto`` runs the machine and
+    names the reason, ``compiled`` raises.  Lowered as a plain receive
+    it would report 60.0 instead of the machine's 107.0."""
+    p = LogPParams(L=6, o=2, g=4, P=2)
+    with pytest.raises(CompileError, match="timeout"):
+        compile_programs(_recv_timeout, 2)
+    with pytest.raises(CompileError, match="timeout"):
+        compile_representatives(_recv_timeout, 2, [0])
+    report = GridMapReport()
+    assert grid_map(_recv_timeout, [p], backend="auto", report=report) == [
+        (107.0, 0.0)
+    ]
+    [group] = report.groups
+    assert group.path == "machine" and "timeout" in group.reason
+    with pytest.raises(CompileError, match="timeout"):
+        grid_map(_recv_timeout, [p], backend="compiled")
 
 
 def test_grid_map_report_names_dispatch_paths():

@@ -11,8 +11,12 @@ Covered here:
   lattice; the one-message stream folds to 2; floods and reductions
   refuse loudly);
 * bit-identity of every aggregate against the unfolded compiled path
-  and the machine, one point and grid, numpy and pure-python replay,
-  and of every expanded per-rank view against the machine;
+  and the machine, one point and grid (the grid's array walk equals
+  the float walk per point, and its divergent points are exactly the
+  float walk's refusals), and of every expanded per-rank view against
+  the machine;
+* the O(1) capacity test against a brute-force in-flight count on
+  random trees and points (hypothesis);
 * the class-compact constructors (``binomial_tree_folded``,
   ``optimal_broadcast_tree_folded``) against the generic fold of their
   own expansions, plus the machine differential at sub-sampled large P;
@@ -28,6 +32,8 @@ Covered here:
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.broadcast import (
     BroadcastTree,
@@ -58,6 +64,7 @@ from repro.sim.compiled import (
     fold_tree,
     resolve_fold,
 )
+from repro.sim.compiled.compiler import OP_SEND
 from repro.sim.latency import FixedLatency, UniformLatency
 from repro.sim.sweep import GridMapReport, grid_map
 
@@ -244,15 +251,46 @@ class TestFoldedGrid:
             assert fr.makespans[i] == ref.makespans[i]
             assert fr.total_stall_times[i] == ref.total_stall_times[i]
 
-    def test_numpy_and_python_replay_identical(self):
+    #: Points of GRID that stall at each capacity override.
+    STALLS = {None: 0, 1: 39, 2: 27, 3: 24}
+
+    def _per_point(self, folded, capacity):
+        """``evaluate_folded`` at each point; ``None`` where it refuses."""
+        out = []
+        for p in self.GRID:
+            try:
+                out.append(evaluate_folded(folded, p, capacity=capacity))
+            except FoldError as exc:
+                assert "capacity stall" in str(exc)
+                out.append(None)
+        return out
+
+    @pytest.mark.parametrize("capacity", [None, 1, 2, 3])
+    def test_grid_equals_per_point_evaluation(self, capacity):
+        # The array walk over n points is the float walk n times.
         folded = fold_program(
             compile_programs(_tree_factory(binomial_tree(32)), 32)
         )
-        a = evaluate_folded_grid(folded, self.GRID, use_numpy=True)
-        b = evaluate_folded_grid(folded, self.GRID, use_numpy=False)
-        assert a.makespans == b.makespans
-        assert a.total_stall_times == b.total_stall_times
-        assert a.divergent == b.divergent
+        gr = evaluate_folded_grid(folded, self.GRID, capacity=capacity)
+        assert (gr.tapes, gr.fallbacks) == (0, 0)
+        for i, fr in enumerate(self._per_point(folded, capacity)):
+            if fr is not None:
+                assert gr.makespans[i] == fr.makespan
+                assert gr.total_stall_times[i] == fr.total_stall_time
+
+    @pytest.mark.parametrize("capacity", [None, 1, 2, 3])
+    def test_divergent_points_are_fold_refusals(self, capacity):
+        folded = fold_program(
+            compile_programs(_tree_factory(binomial_tree(32)), 32)
+        )
+        gr = evaluate_folded_grid(folded, self.GRID, capacity=capacity)
+        refused = [
+            i
+            for i, fr in enumerate(self._per_point(folded, capacity))
+            if fr is None
+        ]
+        assert gr.divergent == refused
+        assert len(refused) == self.STALLS[capacity]
 
     def test_seeded_latency_refuses(self):
         folded = fold_program(
@@ -271,6 +309,91 @@ class TestFoldedGrid:
         )
         with pytest.raises(FoldError):
             evaluate_folded_grid(folded, [_params(8, L=0.1)])
+
+
+def _brute_force_stalls(folded, p, flight, cap):
+    """Whether some send finds ``cap`` of its class's earlier messages
+    in flight, counting every earlier arrival one by one."""
+    o, si = float(p.o), float(p.send_interval)
+    arrive: list = []
+    for cls in folded.classes:
+        now = 0.0
+        if cls.parent >= 0:
+            now = arrive[cls.parent][cls.parent_send] + o
+        last = None
+        arrs: list = []
+        for op in cls.skeleton:
+            if op[0] != OP_SEND:
+                continue
+            start = now if last is None else max(now, last + si)
+            end = start + o
+            in_flight = sum(
+                1 for a in arrs if a > end or (a == end and flight < o)
+            )
+            if in_flight >= cap:
+                return True
+            arrs.append(end + flight)
+            last = start
+            now = end
+        arrive.append(arrs)
+    return False
+
+
+_eighths = st.integers(0, 96).map(lambda k: k / 8)
+
+
+@st.composite
+def _tree_and_points(draw):
+    P = draw(st.integers(2, 24))
+    children: list = [[] for _ in range(P)]
+    for r in range(1, P):
+        children[draw(st.integers(0, r - 1))].append(r)
+    pts = [
+        _params(
+            P, L=draw(_eighths), o=draw(_eighths) / 4, g=draw(_eighths) / 4
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    fixed = draw(st.booleans())
+    flight = min(p.L for p in pts) if fixed else None
+    return children, pts, flight, draw(st.integers(1, 4))
+
+
+class TestCapacityWindow:
+    """The O(1) capacity test (arrival ``m - cap`` still in flight)
+    equals a brute-force count of the arrivals still in flight."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tree_and_points())
+    def test_matches_brute_force_count(self, case):
+        children, pts, flight, cap = case
+        try:
+            folded = fold_tree(children)
+        except FoldError:
+            assume(False)
+        latency = None if flight is None else FixedLatency(flight)
+        want = [
+            i
+            for i, p in enumerate(pts)
+            if _brute_force_stalls(
+                folded, p, p.L if flight is None else flight, cap
+            )
+        ]
+        gr = evaluate_folded_grid(
+            folded, pts, latency=latency, capacity=cap
+        )
+        assert gr.divergent == want
+        for i, p in enumerate(pts):
+            if i in want:
+                with pytest.raises(FoldError, match="capacity stall"):
+                    evaluate_folded(
+                        folded, p, latency=latency, capacity=cap
+                    )
+            else:
+                fr = evaluate_folded(
+                    folded, p, latency=latency, capacity=cap
+                )
+                assert gr.makespans[i] == fr.makespan
 
 
 class TestCompactConstructors:
